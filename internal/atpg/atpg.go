@@ -2,9 +2,37 @@
 // stuck-at faults on the 5-valued algebra {0, 1, X, D, D'}. Its primary
 // client is the redundancy-removal pass (the paper applies [15] after
 // Procedure 2); it also powers the atpg command-line tool.
+//
+// The engine is event-driven. Each call copies the fault's relevant cone
+// (the transitive fanin of the site's fanout cone) into flat arrays, with
+// local ids numbered in c.Topo() order. A decision push, flip or pop
+// re-assigns one primary input, and only that input's fanout is
+// re-evaluated, in local-id order, stopping wherever a value does not
+// change. The set of D/D' nodes and the number of them driving primary
+// outputs are updated as values change, so the test-found check, the
+// X-path check and the D-frontier start from that set instead of
+// rescanning the cone.
+//
+// Two invariants make the search identical, decision for decision, to the
+// whole-cone engine it replaced, which reset every value and re-simulated
+// the cone after each decision (kept as the reference in ref_test.go):
+//
+//   - Propagation equals full re-simulation. A node's value is a pure
+//     function of the primary-input assignment, so re-evaluating exactly
+//     the nodes with a changed fanin, in any topological order, leaves the
+//     values a full simulation would compute. Undoing a decision needs no
+//     trail: un-assigning the input recomputes the old values.
+//   - The D-frontier tie-break follows c.Topo() rank. The objective
+//     advances the frontier gate that comes first in c.Topo() (Kahn)
+//     order, which is the one with the smallest local id. The frozen CSR's
+//     (level, id) order is a different topological order: using it would
+//     pick a different gate, and with it change every later decision.
 package atpg
 
 import (
+	"math/bits"
+	"sync"
+
 	"compsynth/internal/circuit"
 	"compsynth/internal/faults"
 	"compsynth/internal/obs"
@@ -46,43 +74,6 @@ func (v Value) String() string {
 	return "X"
 }
 
-// good returns the fault-free component (0, 1, or -1 for unknown).
-func (v Value) good() int {
-	switch v {
-	case Zero, Dbar:
-		return 0
-	case One, D:
-		return 1
-	}
-	return -1
-}
-
-// bad returns the faulty component.
-func (v Value) bad() int {
-	switch v {
-	case Zero, D:
-		return 0
-	case One, Dbar:
-		return 1
-	}
-	return -1
-}
-
-func fromPair(g, b int) Value {
-	switch {
-	case g < 0 || b < 0:
-		return X
-	case g == 0 && b == 0:
-		return Zero
-	case g == 1 && b == 1:
-		return One
-	case g == 1 && b == 0:
-		return D
-	default:
-		return Dbar
-	}
-}
-
 // Status reports the outcome of test generation.
 type Status int
 
@@ -119,68 +110,6 @@ type Result struct {
 	Backtracks int
 }
 
-type decision struct {
-	pi        int // input position
-	value     bool
-	triedBoth bool
-}
-
-type engine struct {
-	c      *circuit.Circuit
-	f      faults.Fault
-	topo   []int // topologically ordered relevant nodes only
-	val    []Value
-	inCone []bool // nodes that can influence detection of this fault
-	limit  int
-	backs  int
-	site   int  // node whose output carries the fault effect
-	driver int  // node whose good value activates the fault
-	want   bool // activation value (opposite of the stuck value)
-
-	// Per-implication analysis, recomputed once after every implyStack.
-	frontier []int  // D-frontier gates
-	xpathOK  bool   // some D/D' can still reach a PO through X lines
-	poMask   []bool // primary output drivers
-	seenBuf  []bool // scratch for the X-path walk
-}
-
-// relevantCone computes the nodes that matter for fault f: the transitive
-// fanin of every node in the fanout cone of the site (including the POs the
-// effect can reach). Simulating and deciding only inside this cone cuts the
-// per-decision cost sharply on large circuits.
-func relevantCone(c *circuit.Circuit, site int) []bool {
-	c.RebuildFanouts()
-	fwd := make([]bool, len(c.Nodes))
-	var down func(int)
-	down = func(id int) {
-		if fwd[id] {
-			return
-		}
-		fwd[id] = true
-		for _, o := range c.Fanouts(id) {
-			down(o)
-		}
-	}
-	down(site)
-	rel := make([]bool, len(c.Nodes))
-	var up func(int)
-	up = func(id int) {
-		if rel[id] {
-			return
-		}
-		rel[id] = true
-		for _, f := range c.Nodes[id].Fanin {
-			up(f)
-		}
-	}
-	for id, in := range fwd {
-		if in {
-			up(id)
-		}
-	}
-	return rel
-}
-
 // Generate runs PODEM for fault f on circuit c. When the search space is
 // exhausted without finding a test, the fault is proved Redundant.
 func Generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
@@ -201,43 +130,162 @@ func Generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 	return r
 }
 
+type decision struct {
+	pi        int32 // local id of the primary input
+	value     bool
+	triedBoth bool
+}
+
+// sig is the engine's packed form of a Value: one bit per value each
+// component can still take. Bits 0 and 1 say the good value can be 0 or
+// 1, bits 2 and 3 the same for the faulty value. A known component has one
+// bit set, an unknown one both; as in the algebra, a signal with an
+// unknown component is X. In this form a gate is a few bitwise operations
+// on its fanin signals, good and faulty circuit at once.
+type sig uint8
+
+const (
+	sZero sig = 0b0101
+	sOne  sig = 0b1010
+	sD    sig = 0b0110
+	sDbar sig = 0b1001
+	sX    sig = 0b1111
+
+	can0 sig = 0b0101 // the "can be 0" bits of both components
+	can1 sig = 0b1010 // the "can be 1" bits
+	good sig = 0b0011 // the good component's bits
+)
+
+// post[r] maps a computed signal r to the algebra: X when a component is
+// unknown, else r itself. post[16+r] does the same for r inverted, which
+// swaps the bits of each component.
+var post = func() (t [32]sig) {
+	for r := range sig(16) {
+		inv := r&can0<<1 | r&can1>>1
+		for k, s := range []sig{r, inv} {
+			if s&3 == 3 || s>>2 == 3 {
+				s = sX
+			}
+			t[16*k+int(r)] = s
+		}
+	}
+	return t
+}()
+
+// goodVal returns the fault-free component: 0, 1, or -1 for unknown.
+func (s sig) goodVal() int {
+	switch s & good {
+	case 1:
+		return 0
+	case 2:
+		return 1
+	}
+	return -1
+}
+
+// isD reports whether s carries a fault effect (D or D').
+func (s sig) isD() bool { return s == sD || s == sDbar }
+
+// op is a node's evaluation rule. For a gate, bit 0 selects OR over AND
+// and bit 1 inverts the result.
+type op uint8
+
+const (
+	opAnd    op = 0 // AND, BUF
+	opOr     op = 1
+	opNand   op = 2 // NAND, NOT
+	opNor    op = 3
+	opXor    op = 4
+	opXnor   op = 6
+	opSource op = 8 // input, constant or fanin-less gate: the value is assign
+)
+
+func opOf(t circuit.GateType, fanin int) op {
+	if fanin == 0 {
+		return opSource
+	}
+	switch t {
+	case circuit.Nand, circuit.Not:
+		return opNand
+	case circuit.Or:
+		return opOr
+	case circuit.Nor:
+		return opNor
+	case circuit.Xor:
+		return opXor
+	case circuit.Xnor:
+		return opXnor
+	}
+	return opAnd // And, Buf
+}
+
+// engine is the search state of one call. Its arrays are pooled: a call
+// grows them to the circuit and cone it needs and leaves them for the
+// next, so a redundancy-removal round allocates them once, not per fault.
+//
+// The k nodes of the relevant cone get local ids 0..k-1 in c.Topo() order;
+// every array but mark and loc is indexed by local id.
+type engine struct {
+	// Indexed by circuit node ID.
+	mark  []uint32 // == epoch: the node is in this call's cone
+	loc   []int32  // node ID -> local id, valid where marked
+	epoch uint32
+
+	// The cone as flat arrays. Fanout lists hold only consumers inside the
+	// cone, which for every node the fault effect can reach is all of them.
+	kind      []circuit.GateType
+	op        []op
+	finStart  []int32
+	finEdge   []int32
+	foutStart []int32
+	foutEdge  []int32
+	piPos     []int32 // position in c.Inputs, -1 if not a primary input
+	isPO      []bool
+
+	// Values. val has one extra slot, k, read by the faulty pin of a
+	// branch fault: the driver's value with the faulty component stuck.
+	val    []sig
+	assign []sig // sources' values: sX, sZero or sOne for an input
+
+	// Nodes scheduled for re-evaluation, one bit per local id.
+	dirty []uint64
+
+	dset []int32 // nodes valued D or D'
+	dpos []int32 // index in dset, -1 if absent
+	poD  int     // D/D' nodes that drive a primary output
+
+	seen      []uint32 // X-path walk marks (== seenEpoch)
+	seenEpoch uint32
+	work      []int32 // DFS stack
+	stack     []decision
+
+	// The fault, in local ids.
+	site, driver int32
+	stem         int32 // site for a stem fault, else -1
+	branch       int32 // site for a branch fault, else -1
+	pin          int   // faulty pin of a branch fault
+	stuckBad     sig   // the faulty component's bit for the stuck value
+	want         bool  // activation value (opposite of the stuck value)
+	limit, backs int
+}
+
+var enginePool = sync.Pool{New: func() any { return new(engine) }}
+
 func generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 	limit := opt.BacktrackLimit
 	if limit <= 0 {
 		limit = 20000
 	}
-	e := &engine{
-		c: c, f: f,
-		val:   make([]Value, len(c.Nodes)),
-		limit: limit,
-		want:  !f.Stuck,
-	}
-	e.site = f.Node
-	e.driver = f.Node
-	if f.Pin >= 0 {
-		e.driver = c.Nodes[f.Node].Fanin[f.Pin]
-	}
-	c.RebuildFanouts()
-	e.inCone = relevantCone(c, e.site)
-	for _, id := range c.Topo() {
-		if e.inCone[id] {
-			e.topo = append(e.topo, id)
-		}
-	}
-	e.poMask = make([]bool, len(c.Nodes))
-	for _, o := range c.Outputs {
-		e.poMask[o] = true
-	}
-	e.seenBuf = make([]bool, len(c.Nodes))
+	e := enginePool.Get().(*engine)
+	defer enginePool.Put(e)
+	e.setup(c, f, limit)
 
-	var stack []decision
+	e.stack = e.stack[:0]
 	for {
-		e.implyStack(stack)
-		e.analyze()
-		if e.testFound() {
+		if e.poD > 0 {
 			test := make([]bool, len(c.Inputs))
-			for _, d := range stack {
-				test[d.pi] = d.value
+			for _, d := range e.stack {
+				test[e.piPos[d.pi]] = d.value
 			}
 			return Result{Status: Testable, Test: test, Backtracks: e.backs}
 		}
@@ -245,68 +293,292 @@ func generate(c *circuit.Circuit, f faults.Fault, opt Options) Result {
 		if e.feasible() {
 			if obj, objVal, ok := e.objective(); ok {
 				if pi, piVal, ok2 := e.backtrace(obj, objVal); ok2 {
-					stack = append(stack, decision{pi: pi, value: piVal})
+					e.stack = append(e.stack, decision{pi: pi, value: piVal})
+					e.set(pi, piVal)
 					advanced = true
 				}
 			}
 		}
-		if advanced {
-			continue
-		}
-		// Backtrack.
-		for {
-			if len(stack) == 0 {
-				return Result{Status: Redundant, Backtracks: e.backs}
-			}
-			top := &stack[len(stack)-1]
-			if !top.triedBoth {
-				top.triedBoth = true
-				top.value = !top.value
-				e.backs++
-				if e.backs > e.limit {
-					return Result{Status: Aborted, Backtracks: e.backs}
+		if !advanced {
+			// Backtrack.
+			for {
+				if len(e.stack) == 0 {
+					return Result{Status: Redundant, Backtracks: e.backs}
 				}
-				break
+				top := &e.stack[len(e.stack)-1]
+				if !top.triedBoth {
+					top.triedBoth = true
+					top.value = !top.value
+					e.backs++
+					if e.backs > e.limit {
+						return Result{Status: Aborted, Backtracks: e.backs}
+					}
+					e.set(top.pi, top.value)
+					break
+				}
+				e.assign[top.pi] = sX
+				e.schedule(top.pi)
+				e.stack = e.stack[:len(e.stack)-1]
 			}
-			stack = stack[:len(stack)-1]
+		}
+		e.propagate()
+	}
+}
+
+// setup copies the relevant cone of fault f into the local arrays and
+// simulates it with every primary input at X. The cone is the transitive
+// fanin of every node in the fanout cone of the site (including the POs
+// the effect can reach): only its nodes can matter for detecting f.
+func (e *engine) setup(c *circuit.Circuit, f faults.Fault, limit int) {
+	if n := len(c.Nodes); len(e.mark) < n {
+		e.mark = make([]uint32, n)
+		e.loc = make([]int32, n)
+	}
+	e.epoch++
+	if e.epoch == 0 {
+		clear(e.mark)
+		e.epoch = 1
+	}
+	ep, mark := e.epoch, e.mark
+
+	// Fanout cone of the site, then its transitive fanin.
+	work := append(e.work[:0], int32(f.Node))
+	mark[f.Node] = ep
+	for i := 0; i < len(work); i++ {
+		for _, o := range c.Fanouts(int(work[i])) {
+			if mark[o] != ep {
+				mark[o] = ep
+				work = append(work, int32(o))
+			}
+		}
+	}
+	for i := 0; i < len(work); i++ {
+		for _, in := range c.Nodes[work[i]].Fanin {
+			if mark[in] != ep {
+				mark[in] = ep
+				work = append(work, int32(in))
+			}
+		}
+	}
+
+	// Local ids in c.Topo() order. The DFS is done with work, so its
+	// storage holds the local -> node ID map.
+	nodes := work[:0]
+	e.kind = e.kind[:0]
+	for _, id := range c.Topo() {
+		if mark[id] == ep {
+			e.loc[id] = int32(len(nodes))
+			nodes = append(nodes, int32(id))
+			e.kind = append(e.kind, c.Nodes[id].Type)
+		}
+	}
+	e.work = nodes[:0]
+	k := len(nodes)
+
+	// Fanin lists and fanout counts, then the fanout lists.
+	e.op = grow(e.op, k)
+	e.finStart = grow(e.finStart, k+1)
+	e.finEdge = e.finEdge[:0]
+	e.foutStart = grow(e.foutStart, k+1)
+	clear(e.foutStart)
+	for i, id := range nodes {
+		fanin := c.Nodes[id].Fanin
+		e.op[i] = opOf(e.kind[i], len(fanin))
+		e.finStart[i] = int32(len(e.finEdge))
+		for _, in := range fanin {
+			j := e.loc[in]
+			e.finEdge = append(e.finEdge, j)
+			e.foutStart[j+1]++
+		}
+	}
+	e.finStart[k] = int32(len(e.finEdge))
+	for i := 0; i < k; i++ {
+		e.foutStart[i+1] += e.foutStart[i]
+	}
+	e.foutEdge = grow(e.foutEdge, len(e.finEdge))
+	e.dpos = grow(e.dpos, k)
+	fill := e.dpos // fanout fill cursors; dpos is reset below
+	copy(fill, e.foutStart[:k])
+	for i := 0; i < k; i++ {
+		for _, j := range e.finEdge[e.finStart[i]:e.finStart[i+1]] {
+			e.foutEdge[fill[j]] = int32(i)
+			fill[j]++
+		}
+	}
+
+	e.dirty = grow(e.dirty, (k+63)/64)
+	clear(e.dirty) // a call that returns mid-backtrack leaves bits set
+
+	e.piPos = grow(e.piPos, k)
+	for i := range e.piPos {
+		e.piPos[i] = -1
+	}
+	for j, in := range c.Inputs {
+		if mark[in] == ep && e.piPos[e.loc[in]] < 0 {
+			e.piPos[e.loc[in]] = int32(j)
+		}
+	}
+	e.isPO = grow(e.isPO, k)
+	clear(e.isPO)
+	for _, o := range c.Outputs {
+		if mark[o] == ep {
+			e.isPO[e.loc[o]] = true
+		}
+	}
+
+	// The fault.
+	e.site = e.loc[f.Node]
+	e.driver, e.stem, e.branch, e.pin = e.site, e.site, -1, f.Pin
+	e.stuckBad = 0b0100
+	if f.Stuck {
+		e.stuckBad = 0b1000
+	}
+	e.want = !f.Stuck
+	e.limit, e.backs = limit, 0
+	if f.Pin >= 0 {
+		e.driver = e.loc[c.Nodes[f.Node].Fanin[f.Pin]]
+		e.stem, e.branch = -1, e.site
+		// The faulty pin reads slot k. Only evaluation follows this edge:
+		// the driver's fanout list above still names the site, objective
+		// skips the faulty pin, and backtrace never reaches the site.
+		e.finEdge[e.finStart[e.site]+int32(f.Pin)] = int32(k)
+	}
+
+	// Simulate with every input at X.
+	e.val = grow(e.val, k+1)
+	e.assign = grow(e.assign, k)
+	for i := range e.val {
+		e.val[i] = sX
+	}
+	for i, t := range e.kind[:k] {
+		switch t {
+		case circuit.Const0:
+			e.assign[i] = sZero
+		case circuit.Const1:
+			e.assign[i] = sOne
+		default:
+			e.assign[i] = sX
+		}
+	}
+	e.val[k] = post[sX&good|e.stuckBad]
+	e.seen = grow(e.seen, k)
+	clear(e.seen)
+	e.seenEpoch = 0
+	for i := range e.dpos {
+		e.dpos[i] = -1
+	}
+	e.dset = e.dset[:0]
+	e.poD = 0
+	for i := 0; i < k; i++ {
+		e.update(int32(i), e.eval(int32(i)))
+	}
+}
+
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// set assigns primary input pi and schedules its re-evaluation.
+func (e *engine) set(pi int32, v bool) {
+	e.assign[pi] = sZero
+	if v {
+		e.assign[pi] = sOne
+	}
+	e.schedule(pi)
+}
+
+func (e *engine) schedule(i int32) {
+	e.dirty[i>>6] |= 1 << (i & 63)
+}
+
+// propagate re-evaluates the scheduled nodes in local-id order. A node
+// whose value changes schedules its consumers, which have larger ids (the
+// ids follow a topological order), so every node is evaluated once, after
+// all of its changed fanins.
+func (e *engine) propagate() {
+	for w := range e.dirty {
+		for e.dirty[w] != 0 {
+			x := e.dirty[w]
+			e.dirty[w] = x & (x - 1)
+			i := int32(w<<6 | bits.TrailingZeros64(x))
+			if v := e.eval(i); v != e.val[i] {
+				e.update(i, v)
+				for _, o := range e.foutEdge[e.foutStart[i]:e.foutStart[i+1]] {
+					e.schedule(o)
+				}
+			}
 		}
 	}
 }
 
-// analyze recomputes the D-frontier and the X-path flag for the current
-// assignment. Both are consulted several times per decision; computing them
-// once per implication dominates PODEM's constant factor.
-func (e *engine) analyze() {
-	e.frontier = e.frontier[:0]
-	for _, id := range e.topo {
-		nd := e.c.Nodes[id]
-		if e.val[id] != X {
-			continue
+// update stores v as node i's value, keeping the D/D' set, the PO count
+// and the faulty-pin slot in step.
+func (e *engine) update(i int32, v sig) {
+	was := e.val[i].isD()
+	e.val[i] = v
+	if i == e.driver && e.branch >= 0 {
+		e.val[len(e.val)-1] = post[v&good|e.stuckBad]
+	}
+	switch now := v.isD(); {
+	case now && !was:
+		e.dpos[i] = int32(len(e.dset))
+		e.dset = append(e.dset, i)
+		if e.isPO[i] {
+			e.poD++
 		}
-		for _, f := range nd.Fanin {
-			if e.val[f] == D || e.val[f] == Dbar {
-				e.frontier = append(e.frontier, id)
-				break
-			}
+	case was && !now:
+		p, last := e.dpos[i], e.dset[len(e.dset)-1]
+		e.dset[p], e.dpos[last] = last, p
+		e.dset = e.dset[:len(e.dset)-1]
+		e.dpos[i] = -1
+		if e.isPO[i] {
+			e.poD--
 		}
 	}
-	e.xpathOK = e.computeXPath()
 }
 
-// testFound reports whether a D/D' reached any primary output.
-func (e *engine) testFound() bool {
-	for _, o := range e.c.Outputs {
-		if e.val[o] == D || e.val[o] == Dbar {
-			return true
+// eval computes node i's signal from its fanin signals (a source's from
+// its assignment), with a stem fault applied at the site.
+func (e *engine) eval(i int32) sig {
+	o := e.op[i]
+	var v sig
+	switch {
+	case o == opSource:
+		v = e.assign[i]
+	case o < opXor:
+		// AND: the result can be 0 if any input can, 1 if all can; OR the
+		// other way round.
+		any, all := sig(0), sX
+		for _, f := range e.fanin(i) {
+			any |= e.val[f]
+			all &= e.val[f]
 		}
+		m := can0 << (o & 1)
+		v = post[sig(o&2)<<3|any&m|all&^m]
+	default:
+		// Per component, the parity can be 0 when both operands can be
+		// equal and 1 when they can differ.
+		v = sZero
+		for _, f := range e.fanin(i) {
+			w := e.val[f]
+			v0, v1, w0, w1 := v&can0, v&can1>>1, w&can0, w&can1>>1
+			v = v0&w0 | v1&w1 | (v0&w1|v1&w0)<<1
+		}
+		v = post[sig(o&2)<<3|v]
 	}
-	return false
+	if i == e.stem {
+		v = post[v&good|e.stuckBad]
+	}
+	return v
 }
 
 // feasible reports whether the current assignment can still be extended to
 // a test: the fault must remain activatable and the effect propagatable.
 func (e *engine) feasible() bool {
-	g := e.val[e.driver].good()
+	g := e.val[e.driver].goodVal()
 	want := 0
 	if e.want {
 		want = 1
@@ -319,73 +591,84 @@ func (e *engine) feasible() bool {
 	}
 	// Activated at the driver; for branch faults the effect must survive
 	// (or still be undecided) at the consuming gate.
-	if e.f.Pin >= 0 {
+	if e.branch >= 0 {
 		switch e.val[e.site] {
-		case X:
+		case sX:
 			return true
-		case D, Dbar:
+		case sD, sDbar:
 			// fall through to the propagation check
 		default:
 			return false // masked at the gate
 		}
 	}
-	if e.testFound() {
+	if e.poD > 0 {
 		return true
 	}
-	return e.xpathOK
+	return e.xpath()
 }
 
-// computeXPath reports whether some fault effect (D/D') can still reach a
-// primary output through X-valued lines — the classic X-path check, which
-// prunes hopeless branches long before the D-frontier empties.
-func (e *engine) computeXPath() bool {
-	seen := e.seenBuf
-	var touched []int
-	defer func() {
-		for _, id := range touched {
-			seen[id] = false
-		}
-	}()
-	var stack []int
-	for _, id := range e.topo {
-		if e.val[id] == D || e.val[id] == Dbar {
-			stack = append(stack, id)
-			if e.poMask[id] {
-				return true
-			}
+// xpath reports whether some fault effect (D/D') can still reach a primary
+// output through X-valued lines — the classic X-path check, which prunes
+// hopeless branches long before the D-frontier empties.
+func (e *engine) xpath() bool {
+	e.seenEpoch++
+	if e.seenEpoch == 0 {
+		clear(e.seen)
+		e.seenEpoch = 1
+	}
+	ep := e.seenEpoch
+	for _, d := range e.dset {
+		if e.isPO[d] {
+			return true
 		}
 	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, consumer := range e.c.Fanouts(id) {
-			if seen[consumer] || e.val[consumer] != X {
+	work := append(e.work[:0], e.dset...)
+	found := false
+	for len(work) > 0 && !found {
+		i := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, o := range e.foutEdge[e.foutStart[i]:e.foutStart[i+1]] {
+			if e.seen[o] == ep || e.val[o] != sX {
 				continue
 			}
-			if e.poMask[consumer] {
-				return true
+			if e.isPO[o] {
+				found = true
+				break
 			}
-			seen[consumer] = true
-			touched = append(touched, consumer)
-			stack = append(stack, consumer)
+			e.seen[o] = ep
+			work = append(work, o)
 		}
 	}
-	return false
+	e.work = work[:0]
+	return found
+}
+
+// frontier returns the D-frontier gate first in c.Topo() order — the
+// X-valued consumer of a D/D' node with the smallest local id — or -1.
+func (e *engine) frontier() int32 {
+	best := int32(-1)
+	for _, d := range e.dset {
+		for _, o := range e.foutEdge[e.foutStart[d]:e.foutStart[d+1]] {
+			if e.val[o] == sX && (best < 0 || o < best) {
+				best = o
+			}
+		}
+	}
+	return best
 }
 
 // objective returns the next (node, value) goal: activate the fault first,
 // then advance the D-frontier.
-func (e *engine) objective() (int, bool, bool) {
-	if e.val[e.driver].good() < 0 {
+func (e *engine) objective() (int32, bool, bool) {
+	if e.val[e.driver].goodVal() < 0 {
 		return e.driver, e.want, true
 	}
 	// Activated. For a still-undecided branch fault, unblock the consuming
 	// gate by setting an X side input to its non-controlling value.
-	if e.f.Pin >= 0 && e.val[e.site] == X {
-		nd := e.c.Nodes[e.site]
-		ctl, has := nd.Type.ControllingValue()
-		for pin, f := range nd.Fanin {
-			if pin != e.f.Pin && e.val[f] == X {
+	if e.branch >= 0 && e.val[e.site] == sX {
+		ctl, has := e.kind[e.site].ControllingValue()
+		for pin, f := range e.fanin(e.site) {
+			if pin != e.pin && e.val[f] == sX {
 				if has {
 					return f, !ctl, true
 				}
@@ -394,13 +677,13 @@ func (e *engine) objective() (int, bool, bool) {
 		}
 		return 0, false, false
 	}
-	if len(e.frontier) == 0 {
+	g := e.frontier()
+	if g < 0 {
 		return 0, false, false
 	}
-	nd := e.c.Nodes[e.frontier[0]]
-	ctl, has := nd.Type.ControllingValue()
-	for _, f := range nd.Fanin {
-		if e.val[f] == X {
+	ctl, has := e.kind[g].ControllingValue()
+	for _, f := range e.fanin(g) {
+		if e.val[f] == sX {
 			if has {
 				return f, !ctl, true
 			}
@@ -410,36 +693,34 @@ func (e *engine) objective() (int, bool, bool) {
 	return 0, false, false
 }
 
+func (e *engine) fanin(i int32) []int32 {
+	return e.finEdge[e.finStart[i]:e.finStart[i+1]]
+}
+
 // backtrace maps an objective to an unassigned primary input and a value,
 // walking backward through X-valued lines.
-func (e *engine) backtrace(node int, want bool) (int, bool, bool) {
+func (e *engine) backtrace(node int32, want bool) (int32, bool, bool) {
 	for {
-		nd := e.c.Nodes[node]
-		switch nd.Type {
+		switch t := e.kind[node]; t {
 		case circuit.Input:
-			if e.val[node] != X {
+			if e.val[node] != sX || e.piPos[node] < 0 {
 				return 0, false, false
 			}
-			for j, in := range e.c.Inputs {
-				if in == node {
-					return j, want, true
-				}
-			}
-			return 0, false, false
+			return node, want, true
 		case circuit.Const0, circuit.Const1:
 			return 0, false, false
 		case circuit.Not:
 			want = !want
-			node = nd.Fanin[0]
+			node = e.fanin(node)[0]
 		case circuit.Buf:
-			node = nd.Fanin[0]
+			node = e.fanin(node)[0]
 		default:
-			if nd.Type.Inverting() {
+			if t.Inverting() {
 				want = !want
 			}
-			picked := -1
-			for _, f := range nd.Fanin {
-				if e.val[f] == X {
+			picked := int32(-1)
+			for _, f := range e.fanin(node) {
+				if e.val[f] == sX {
 					picked = f
 					break
 				}
@@ -454,106 +735,4 @@ func (e *engine) backtrace(node int, want bool) (int, bool, bool) {
 			node = picked
 		}
 	}
-}
-
-// implyStack performs full 5-valued forward simulation for a decision set.
-func (e *engine) implyStack(stack []decision) {
-	for i := range e.val {
-		e.val[i] = X
-	}
-	for _, d := range stack {
-		in := e.c.Inputs[d.pi]
-		if d.value {
-			e.val[in] = One
-		} else {
-			e.val[in] = Zero
-		}
-	}
-	for _, in := range e.c.Inputs {
-		e.applyStemFault(in)
-	}
-	for _, id := range e.topo {
-		nd := e.c.Nodes[id]
-		if nd.Type == circuit.Input {
-			continue
-		}
-		e.val[id] = e.evalGate(nd)
-		e.applyStemFault(id)
-	}
-}
-
-// applyStemFault overlays the stem fault effect on node id.
-func (e *engine) applyStemFault(id int) {
-	if e.f.Pin >= 0 || id != e.f.Node {
-		return
-	}
-	b := 0
-	if e.f.Stuck {
-		b = 1
-	}
-	e.val[id] = fromPair(e.val[id].good(), b)
-}
-
-// evalGate computes the 5-valued output of a gate, accounting for a branch
-// fault on one of its pins.
-func (e *engine) evalGate(nd *circuit.Node) Value {
-	switch nd.Type {
-	case circuit.Const0:
-		return Zero
-	case circuit.Const1:
-		return One
-	}
-	goodAcc, badAcc := -2, -2 // -2 = identity/unset
-	for pin, f := range nd.Fanin {
-		gv, bv := e.val[f].good(), e.val[f].bad()
-		if e.f.Pin == pin && nd.ID == e.f.Node {
-			bv = 0
-			if e.f.Stuck {
-				bv = 1
-			}
-		}
-		goodAcc = combine(nd.Type, goodAcc, gv)
-		badAcc = combine(nd.Type, badAcc, bv)
-	}
-	if nd.Type.Inverting() {
-		goodAcc, badAcc = invVal(goodAcc), invVal(badAcc)
-	}
-	return fromPair(goodAcc, badAcc)
-}
-
-// combine folds one ternary input (0, 1, -1=unknown) into an accumulator.
-func combine(t circuit.GateType, acc, v int) int {
-	if acc == -2 {
-		return v
-	}
-	switch t {
-	case circuit.And, circuit.Nand, circuit.Buf, circuit.Not:
-		if acc == 0 || v == 0 {
-			return 0
-		}
-		if acc == 1 && v == 1 {
-			return 1
-		}
-		return -1
-	case circuit.Or, circuit.Nor:
-		if acc == 1 || v == 1 {
-			return 1
-		}
-		if acc == 0 && v == 0 {
-			return 0
-		}
-		return -1
-	default: // Xor, Xnor
-		if acc < 0 || v < 0 {
-			return -1
-		}
-		return acc ^ v
-	}
-}
-
-func invVal(v int) int {
-	if v < 0 {
-		return v
-	}
-	return 1 - v
 }

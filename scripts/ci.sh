@@ -86,6 +86,11 @@ go test ./internal/bench -fuzz FuzzCSRFreeze -fuzztime 5s -run '^$' >/dev/null
 # disjoint cover with contained footprints on every accepted netlist, and a
 # sharded pass must match the serial sweep byte for byte.
 go test ./internal/bench -fuzz FuzzRegionPartition -fuzztime 5s -run '^$' >/dev/null
+# And for PODEM: on every accepted netlist (seeded from FuzzParseBench's
+# corpus) the event-driven engine must make exactly the decisions of the
+# whole-cone reference engine — same status, test and backtrack count on
+# every collapsed fault. It lives in internal/atpg, beside the reference.
+go test ./internal/atpg -fuzz FuzzGenerateMatchesRef -fuzztime 5s -run '^$' >/dev/null
 
 echo "== bench smoke =="
 # One iteration of every benchmark, no measurement: catches benches that no
@@ -112,6 +117,7 @@ go run ./cmd/obsdiff BENCH_2026-08-06.json BENCH_2026-08-06.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-06_lean.json BENCH_2026-08-06_lean.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_csr.json BENCH_2026-08-08_csr.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_sharded.json BENCH_2026-08-08_sharded.json >/dev/null
+go run ./cmd/obsdiff BENCH_2026-10-17_atpg.json BENCH_2026-10-17_atpg.json >/dev/null
 
 echo "== bench gate =="
 # Re-measure the resynthesis/identification benchmark set and diff against
@@ -162,6 +168,23 @@ scripts/bench.sh 'ResynthSharded' 1 "$shardgate" 20x >/dev/null
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
     BENCH_2026-08-08_sharded.json "$shardgate"
 
+echo "== atpg bench gate =="
+# PODEM is nearly all of redundancy removal's time. BenchmarkPODEM runs the
+# hard faults of rs13207 at the production backtrack limit;
+# BENCH_2026-10-17_atpg.json is its baseline, recorded by scripts/bench.sh
+# with the same pattern and benchtime. The engine allocates per call only
+# a testable fault's Test and otherwise reuses its pooled scratch, so
+# allocs/op is gated at 1%: a change back to per-fault O(N) arrays trips
+# it. The op takes seconds, so ns/op is steadier than on the microsecond
+# benches, but a shared 2-vCPU VM has run whole passes twice as slowly for
+# minutes; a 200% tolerance still catches a return to the whole-cone
+# engine, which was about ten times slower.
+atpggate="$(mktemp)"
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate" "$atpggate"' EXIT
+scripts/bench.sh '^BenchmarkPODEM$' 1 "$atpggate" 1x >/dev/null
+go run ./cmd/obsdiff -tol-bench 2.0 -tol-alloc 0.01 \
+    BENCH_2026-10-17_atpg.json "$atpggate"
+
 echo "== sftverify gate =="
 # Provenance round trip, both directions (README "Provenance & verification").
 # Forward: a fresh c17 run recorded with -events/-cert must replay cleanly
@@ -171,7 +194,7 @@ echo "== sftverify gate =="
 # with exit 1, distinguished from a usage/IO failure (2). Built binaries,
 # not "go run", for the same exit-code reason as the sftlint gate.
 provdir="$(mktemp -d)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate"; rm -rf "$provdir"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate" "$atpggate"; rm -rf "$provdir"' EXIT
 go build -o "$provdir/sft" ./cmd/sft
 go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
