@@ -53,8 +53,8 @@ type Config struct {
 	// Workers bounds the concurrency of suite preparation and table
 	// regeneration (0 = runtime.GOMAXPROCS(0), 1 = serial). Benchmark
 	// circuits and table rows are independent, so they run through one
-	// bounded pool; the engines inside each row (resynthesis candidate
-	// prefetch, fault-simulation blocks) then run serial so the machine is
+	// bounded pool; the engines inside each row (fault-simulation blocks,
+	// the sharded resynthesis sweep) then run serial so the machine is
 	// not oversubscribed, and inherit the full worker budget only when the
 	// row fan-out cannot use it (a single-circuit suite). Every level is
 	// bit-identical for every worker count, so the split is purely a
@@ -273,8 +273,8 @@ func contains(xs []string, s string) bool {
 }
 
 // runProc runs a resynthesis procedure for each K and returns the best
-// result under the objective. workers is the budget for the optimizer's
-// candidate prefetch (it does not change results).
+// result under the objective. workers is passed to the optimizer, whose
+// default serial sweep ignores it (it never changes results).
 func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config, workers int) (*resynth.Result, int, error) {
 	var best *resynth.Result
 	bestK := 0

@@ -9,9 +9,9 @@
 // event on the -events NDJSON stream, so the trace is hash-chained by the
 // run ledger for free and cmd/sftexplain can query or diff it offline.
 //
-// Determinism contract: the resynthesis optimizer emits records only from
-// its serial decision sweep, never from the parallel prefetch, and no field
-// depends on scheduling (no timings, no cache-hit provenance — a cache hit
+// Determinism contract: the resynthesis optimizer emits records in the
+// order of its serial decision sweep (the sharded sweep buffers them and
+// replays them in that order), and no field depends on scheduling (no timings, no cache-hit provenance — a cache hit
 // returns the same pure value the miss would compute). The record stream is
 // therefore byte-identical for every -workers count; CI compares two runs
 // with cmp, the same mechanism that gates certificate determinism.

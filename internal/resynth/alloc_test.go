@@ -9,19 +9,18 @@ import (
 	"compsynth/internal/subckt"
 )
 
-// Warm-path allocation pins: a repeated candidate must cost nothing beyond
-// the cache lookup. Both the extraction cache (subckt.Key) and the
-// identification caches (logic.Key) use fixed-size comparable keys, so a
-// hit allocates nothing — these tests keep it that way.
+// Warm-path allocation pins: a repeated function must cost nothing beyond
+// the cache lookup. The identification caches use fixed-size comparable
+// keys (logic.Key), so a hit allocates nothing — these tests keep it that
+// way.
 
 func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	t.Helper()
 	c := gen.SmallSuite()[0].Build()
 	c.Simplify()
 	o := &optimizer{
-		opt:      DefaultOptions(),
-		cache:    par.NewCache[logic.Key, cachedSpec](),
-		extracts: par.NewCache[subckt.Key, extracted](),
+		opt:   DefaultOptions(),
+		cache: par.NewCache[logic.Key, cachedSpec](),
 	}
 	o.rebuildFull(c)
 	var sub *subckt.Subcircuit
@@ -36,20 +35,9 @@ func warmOptimizer(t *testing.T) (*optimizer, *subckt.Subcircuit, logic.TT) {
 	if sub == nil {
 		t.Fatal("no multi-gate candidate in the warm-up circuit")
 	}
-	ex := o.extractTT(c, sub) // warm both caches
-	o.identify(ex.stt)
-	return o, sub, ex.stt
-}
-
-func TestExtractCacheHitZeroAlloc(t *testing.T) {
-	o, sub, _ := warmOptimizer(t)
-	c := gen.SmallSuite()[0].Build() // extract reads the circuit only on a miss
-	c.Simplify()
-	if n := testing.AllocsPerRun(200, func() {
-		o.extractTT(c, sub)
-	}); n != 0 {
-		t.Fatalf("warm extractTT allocates %v times per call, want 0", n)
-	}
+	stt, _ := sub.Extract(c).Shrink()
+	o.identify(stt) // warm the cache
+	return o, sub, stt
 }
 
 func TestIdentifyCacheHitZeroAlloc(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"compsynth/internal/circuit"
 	"compsynth/internal/gen"
 	"compsynth/internal/logic"
-	"compsynth/internal/obs"
 )
 
 // runWorkers optimizes c with the given worker count and returns the result
@@ -82,24 +81,5 @@ func TestParallelMatchesSerialExtensions(t *testing.T) {
 	_, parallelNet := runWorkers(t, c, opt, 8)
 	if serialNet != parallelNet {
 		t.Error("extension netlists diverge under parallelism")
-	}
-}
-
-// TestExtractCacheHits checks the per-pass extraction memo engages: the
-// prefetch phase computes every candidate's truth table, so the serial
-// sweep's extractions should all be cache hits.
-func TestExtractCacheHits(t *testing.T) {
-	c := gen.SmallSuite()[0].Build()
-	opt := DefaultOptions()
-	opt.Verify = false
-	opt.MaxPasses = 2
-	ctr := obs.C("resynth.extract_cache_hits")
-	before := ctr.Value()
-	opt.Workers = 2
-	if _, err := Optimize(c, opt); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctr.Value() - before; got == 0 {
-		t.Error("no extract cache hits with workers=2")
 	}
 }

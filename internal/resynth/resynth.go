@@ -5,16 +5,16 @@
 // primary outputs toward the inputs, replacing subcircuits that implement
 // comparison functions by comparison units, until a fixpoint.
 //
-// Parallelism: with Options.Workers != 1 each pass runs a concurrent
-// prefetch phase that evaluates every candidate subcircuit of the pass
-// snapshot — truth-table extraction and comparison-function identification,
-// the dominant cost — across worker goroutines, filling sharded
-// memoization caches keyed purely by the candidate's function. The sweep
-// that selects and applies replacements then runs serially in topological
-// order exactly as in the serial algorithm, so the optimized circuit is
-// bit-identical for every worker count. Sampling-mode identification seeds
-// its RNG per truth table (derived from Options.Seed), never from a shared
-// stream, so it too is independent of visit order and worker count.
+// Parallelism: the default sweep is serial. It evaluates each marked
+// candidate once, in topological order, right before deciding on it, so
+// every truth table is extracted from the circuit as it stands at that
+// moment. Options.Workers feeds only the region-sharded sweep
+// (Options.Shard, shard.go), whose result is bit-identical to the serial
+// one at every worker count. The identification caches are keyed purely by
+// the candidate's function and persist across passes. Sampling-mode
+// identification seeds its RNG per truth table (derived from Options.Seed),
+// never from a shared stream, so it is independent of visit order and
+// worker count.
 //
 // Incremental pass state: each pass needs K-feasible cuts, path labels,
 // levels and (in SDC mode) exhaustive-simulation values for every node. A
@@ -53,7 +53,6 @@ var (
 	mReplacements = obs.C("resynth.replacements_accepted")
 	mPasses       = obs.C("resynth.passes")
 	mCacheHits    = obs.C("resynth.identify_cache_hits")
-	mExtractHits  = obs.C("resynth.extract_cache_hits")
 	mDirty        = obs.C("resynth.dirty_nodes")
 	hCandInputs   = obs.H("resynth.candidate_inputs")
 	gPass         = obs.G("resynth.pass")
@@ -92,9 +91,9 @@ type Options struct {
 	Check         bool      // validate IR invariants after every pass (circuit.Check)
 	Merge         bool      // merge same-type chain gates (Figure 4)
 
-	// Workers bounds the goroutines used by the per-pass candidate
-	// prefetch. 0 selects runtime.GOMAXPROCS(0); 1 disables the prefetch
-	// and runs fully serial. The result is bit-identical either way.
+	// Workers bounds the goroutines of the region-sharded sweep (Shard);
+	// the default serial sweep ignores it. 0 selects
+	// runtime.GOMAXPROCS(0). The result is bit-identical either way.
 	Workers int
 
 	// Shard switches each pass to the region-sharded sweep (shard.go):
@@ -106,7 +105,7 @@ type Options struct {
 	// the run report counters, and the certificate evidence are
 	// bit-identical to the serial sweep at every worker count
 	// (TestShardedMatchesSerial); Shard is a machine knob like Workers.
-	// Off (the default) keeps the serial sweep with the prefetch phase.
+	// Off (the default) keeps the serial sweep.
 	Shard bool
 
 	// UseSampling switches identification to the paper's experimental
@@ -146,10 +145,10 @@ type Options struct {
 
 	// Dtrace streams one decision record per gate and per candidate the
 	// serial sweep considers (see internal/obs/dtrace). Records are emitted
-	// only from the serial sweep — never from the concurrent prefetch — and
-	// carry no timing or cache provenance, so the stream is byte-identical
-	// for every Workers value. The nil tracer (the default) no-ops without
-	// allocating.
+	// in the serial sweep's order — the sharded sweep replays them in that
+	// order — and carry no timing or cache provenance, so the stream is
+	// byte-identical for every Workers value. The nil tracer (the default)
+	// no-ops without allocating.
 	Dtrace *dtrace.Tracer
 
 	// forceFull disables the incremental between-pass refresh, rebuilding
@@ -327,21 +326,11 @@ type dcKey struct {
 	f, care logic.Key
 }
 
-// extracted memoizes one candidate's extraction AND its support reduction:
-// cuts repeat across the fanout of shared logic, so a cache hit skips both
-// the simulation and the Shrink. kept is shared — callers must not mutate.
-type extracted struct {
-	tt   logic.TT // function over sub.Inputs
-	stt  logic.TT // support-reduced table
-	kept []int    // 1-based indices of retained inputs, in order
-}
-
 // optimizer carries the per-run state. The identification caches persist
 // across passes (they are keyed by the candidate's function, which is
-// circuit-independent); the extraction cache is rebuilt per pass because
-// its keys are node IDs of the current snapshot. All caches are sharded
-// and safe for the concurrent prefetch; every cached value is a pure
-// function of its key, so racing fills store equal values.
+// circuit-independent). All caches are sharded and safe for the sharded
+// sweep's workers; every cached value is a pure function of its key, so
+// racing fills store equal values.
 type optimizer struct {
 	opt        Options
 	dt         *dtrace.Tracer // decision-trace sink; nil = off
@@ -350,7 +339,6 @@ type optimizer struct {
 	multiCache *par.Cache[logic.Key, cachedMulti]
 	dcCache    *par.Cache[dcKey, cachedSpec]
 	allCache   *par.Cache[logic.Key, []compare.Spec]
-	extracts   *par.Cache[subckt.Key, extracted]
 	db         *subckt.CutDB
 
 	// Incremental per-pass state. Every field below is a per-node pure
@@ -383,7 +371,7 @@ type optimizer struct {
 // function of the function being identified — independent of gate visit
 // order, of the interleaving of other identifications, and of which worker
 // performs it — which is what keeps sampling mode deterministic under the
-// concurrent prefetch (and fixes the historical shared-RNG coupling).
+// sharded sweep (and fixes the historical shared-RNG coupling).
 func (o *optimizer) rngFor(k logic.Key) *rand.Rand {
 	return rand.New(rand.NewSource(k.Seed(o.opt.Seed)))
 }
@@ -398,15 +386,9 @@ func (o *optimizer) pass(c *circuit.Circuit) int {
 		o.refresh(c, touched)
 	}
 	csp.End()
-	o.extracts = par.NewCache[subckt.Key, extracted]() // node IDs are only stable within one pass
 	topo := o.topo
 	if o.opt.Shard {
-		// The sharded sweep speculates every gate's evaluation up front, so
-		// the prefetch phase is subsumed; see shard.go.
 		return o.passSharded(c)
-	}
-	if o.workers > 1 {
-		o.prefetch(c, topo)
 	}
 	marked := make([]bool, len(c.Nodes))
 	mark := func(id int) {
@@ -667,60 +649,6 @@ func growBool(s []bool, n int) []bool {
 	return s
 }
 
-// prefetch warms the extraction and identification caches for every gate of
-// the pass snapshot, in parallel. Every cached value is a pure function of
-// its key, so warming cannot change what the serial sweep below decides: a
-// candidate whose function only arises after a mid-sweep mutation simply
-// misses the cache and is computed inline. The prefetch reads the circuit
-// but never mutates it (structural caches — topo, fanouts — were built by
-// the state rebuild above).
-func (o *optimizer) prefetch(c *circuit.Circuit, topo []int) {
-	ids := make([]int, 0, len(topo))
-	for i := len(topo) - 1; i >= 0; i-- {
-		g := topo[i]
-		t := c.Nodes[g].Type
-		if t == circuit.Input || t == circuit.Const0 || t == circuit.Const1 {
-			continue
-		}
-		ids = append(ids, g)
-	}
-	par.Run(o.opt.Tracer, "resynth.prefetch", o.workers, len(ids), func(_, i int) {
-		o.prefetchGate(c, ids[i])
-	})
-}
-
-// prefetchGate mirrors the identification cascade of selectReplacement for
-// one gate, computing (and caching) everything expensive while skipping the
-// cost accounting that stays serial.
-func (o *optimizer) prefetchGate(c *circuit.Circuit, g int) {
-	for _, sub := range o.db.EnumerateFromCuts(c, g) {
-		ex := o.extractTT(c, sub)
-		if ex.stt.Vars() == 0 {
-			continue
-		}
-		_, ok := o.identify(ex.stt)
-		if !ok && o.valbits != nil {
-			keep := make([]int, len(ex.kept))
-			for j, v := range ex.kept {
-				keep[j] = sub.Inputs[v-1]
-			}
-			care := o.careSet(keep)
-			if !care.IsConst(true) {
-				_, ok = o.identifyDC(ex.stt, care)
-			}
-		}
-		if !ok && o.opt.MaxUnits > 1 {
-			_, ok = o.identifyMulti(ex.stt)
-		}
-		if !ok {
-			continue
-		}
-		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
-			o.identifyAll(ex.stt)
-		}
-	}
-}
-
 // candidate pairs a subcircuit with its chosen unit realization and costs.
 type candidate struct {
 	sub        *subckt.Subcircuit
@@ -795,14 +723,13 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 		}
 		// Extraction drops inputs the function does not depend on: they
 		// contribute no logic and their paths disappear entirely.
-		ex := o.extractTT(c, sub)
-		if ex.stt.Vars() == 0 {
+		stt, kept := sub.Extract(c).Shrink()
+		if stt.Vars() == 0 {
 			if o.dt != nil {
 				recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.ConstFunction)
 			}
 			continue // constant function: left to Simplify
 		}
-		stt, kept := ex.stt, ex.kept
 		var spec compare.Realization
 		var dcCare logic.TT
 		usedDC := false
@@ -840,11 +767,14 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			keepInputs[j] = sub.Inputs[v-1]
 			subNp[j] = np[keepInputs[j]]
 		}
+		// N depends on the candidate, not on its realization: compute it
+		// once for every alternative below.
+		saved := sub.GateSavings(c)
 		cand := &candidate{
 			sub:        sub,
 			spec:       spec,
 			keepInputs: keepInputs,
-			gateSave:   sub.GateSavings(c) - spec.GateCost(),
+			gateSave:   saved - spec.GateCost(),
 			pathsOnG:   spec.PathCost(subNp),
 			stt:        stt,
 			care:       dcCare,
@@ -855,7 +785,7 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			for _, alt := range o.identifyAll(stt) {
 				ac := *cand
 				ac.spec = alt
-				ac.gateSave = sub.GateSavings(c) - alt.GateCost()
+				ac.gateSave = saved - alt.GateCost()
 				ac.pathsOnG = alt.PathCost(subNp)
 				if better(&ac, cand) {
 					*cand = ac
@@ -925,23 +855,6 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 		return best
 	}
 	return nil
-}
-
-// extractTT memoizes Subcircuit.Extract (and the follow-up support
-// reduction) per pass: cuts repeat across the fanout of shared logic, and
-// the prefetch phase plus the serial sweep visit every repeated cut at
-// least twice. A warm hit performs no allocation.
-func (o *optimizer) extractTT(c *circuit.Circuit, sub *subckt.Subcircuit) extracted {
-	key := sub.Key()
-	if ex, ok := o.extracts.Get(key); ok {
-		mExtractHits.Inc()
-		return ex
-	}
-	tt := sub.Extract(c)
-	stt, kept := tt.Shrink()
-	ex := extracted{tt: tt, stt: stt, kept: kept}
-	o.extracts.Set(key, ex)
-	return ex
 }
 
 // rebuildSDC precomputes every node's value over the full primary-input

@@ -127,9 +127,29 @@ func (db *CutDB) ComputeNode(c *circuit.Circuit, id int) {
 func (db *CutDB) Cuts(id int) [][]int { return db.cuts[id] }
 
 // unionSorted merges two sorted sets, returning nil if the union exceeds k.
+// Most fanin-cut pairs overflow k, so the union is counted first and only a
+// union that fits is allocated.
 func unionSorted(a, b []int, k int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case b[j] < a[i]:
+			j++
+		default:
+			i++
+			j++
+		}
+		if n++; n > k {
+			return nil
+		}
+	}
+	if n += len(a) - i + len(b) - j; n > k {
+		return nil
+	}
+	out := make([]int, 0, n)
+	i, j = 0, 0
 	for i < len(a) || j < len(b) {
 		switch {
 		case j >= len(b) || (i < len(a) && a[i] < b[j]):
@@ -142,9 +162,6 @@ func unionSorted(a, b []int, k int) []int {
 			out = append(out, a[i])
 			i++
 			j++
-		}
-		if len(out) > k {
-			return nil
 		}
 	}
 	return out

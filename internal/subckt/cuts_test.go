@@ -161,18 +161,39 @@ func TestSubcircuitForRejectsBadCuts(t *testing.T) {
 	}
 }
 
+// TestUnionSorted covers merging, the empty union (non-nil: a constant's
+// cut) and rejection of unions wider than k, found while merging or only
+// once the tails are counted. A rejected union must not allocate.
 func TestUnionSorted(t *testing.T) {
-	u := unionSorted([]int{1, 3, 5}, []int{2, 3, 6}, 5)
-	want := []int{1, 2, 3, 5, 6}
-	if len(u) != len(want) {
-		t.Fatalf("union = %v", u)
+	cases := []struct {
+		a, b []int
+		k    int
+		want []int // nil: the union has more than k lines
+	}{
+		{[]int{}, []int{}, 0, []int{}},
+		{[]int{1, 3}, []int{}, 2, []int{1, 3}},
+		{[]int{}, []int{2, 4}, 2, []int{2, 4}},
+		{[]int{1, 3, 5}, []int{2, 3, 6}, 5, []int{1, 2, 3, 5, 6}},
+		{[]int{1, 2, 3}, []int{1, 2, 3}, 3, []int{1, 2, 3}},
+		{[]int{5}, []int{1, 2, 3, 4}, 5, []int{1, 2, 3, 4, 5}},
+		{[]int{1, 2, 3}, []int{4, 5, 6}, 5, nil},
+		{[]int{1, 3}, []int{2, 4}, 3, nil},
+		{[]int{1, 2}, []int{3, 4, 5}, 4, nil},
+		{[]int{1, 2, 3, 4, 5, 6}, []int{}, 5, nil},
 	}
-	for i := range want {
-		if u[i] != want[i] {
-			t.Fatalf("union = %v", u)
+	for i, tc := range cases {
+		got := unionSorted(tc.a, tc.b, tc.k)
+		if (got == nil) != (tc.want == nil) || len(got) != len(tc.want) {
+			t.Fatalf("case %d: unionSorted(%v, %v, %d) = %#v, want %#v", i, tc.a, tc.b, tc.k, got, tc.want)
+		}
+		for j := range got {
+			if got[j] != tc.want[j] {
+				t.Fatalf("case %d: unionSorted(%v, %v, %d) = %v, want %v", i, tc.a, tc.b, tc.k, got, tc.want)
+			}
 		}
 	}
-	if unionSorted([]int{1, 2, 3}, []int{4, 5, 6}, 5) != nil {
-		t.Fatal("oversize union not rejected")
+	a, b := []int{1, 3, 5}, []int{2, 4, 6}
+	if n := testing.AllocsPerRun(100, func() { unionSorted(a, b, 5) }); n != 0 {
+		t.Fatalf("rejected union allocates %v times", n)
 	}
 }

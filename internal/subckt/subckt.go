@@ -131,12 +131,10 @@ type Key struct {
 	N            int32 // gate count
 }
 
-// Key returns the subcircuit's identity, computing it on first use. Two
-// candidates with equal keys implement the same function as long as no gate
-// in the set changed type or fanin, which holds for the duration of one
-// optimizer pass (replacements only add nodes and rewire consumers of
-// already-visited outputs), so Key doubles as the truth-table memoization
-// key for Extract.
+// Key returns the subcircuit's identity, computing it on first use. It
+// names the gate set, not the function: the gates' fanin (and with it the
+// order of Inputs) is not part of the key, and a rewiring such as
+// circuit.ReplaceUses can change it, so the key must not memoize Extract.
 func (s *Subcircuit) Key() Key {
 	if s.keyed {
 		return s.key
@@ -176,15 +174,17 @@ func varTablesFor(n int) []logic.TT {
 	return t
 }
 
-// extractScratch is the reusable per-Extract working set: a small
-// linear-scan association from node ID to its current 64-pattern word (the
-// sets involved are tiny — |gates| + |inputs| is bounded by the cut size),
-// the internal topological order, and the fanin word buffer. Pooled so
-// concurrent prefetch workers each grab their own.
+// extractScratch is the reusable working set of Extract and Removable: a
+// small linear-scan association from node ID to its current 64-pattern word
+// and removability verdict (the sets involved are tiny — |gates| + |inputs|
+// is bounded by the cut size), the internal topological order, and the
+// fanin word buffer. Pooled so concurrent callers (the sharded sweep's
+// workers) each grab their own.
 type extractScratch struct {
 	ids   []int
 	vals  []uint64
 	state []int8 // DFS state per ids entry: 0 unseen, 1 visiting, 2 done
+	rm    []bool // removability per ids entry (markRemovable)
 	order []int
 	buf   []uint64
 }
@@ -195,6 +195,7 @@ func (sc *extractScratch) reset() {
 	sc.ids = sc.ids[:0]
 	sc.vals = sc.vals[:0]
 	sc.state = sc.state[:0]
+	sc.rm = sc.rm[:0]
 	sc.order = sc.order[:0]
 	sc.buf = sc.buf[:0]
 }
@@ -215,6 +216,7 @@ func (sc *extractScratch) add(id int) int {
 	sc.ids = append(sc.ids, id)
 	sc.vals = append(sc.vals, 0)
 	sc.state = append(sc.state, 0)
+	sc.rm = append(sc.rm, false)
 	return len(sc.ids) - 1
 }
 
@@ -295,41 +297,57 @@ func (s *Subcircuit) topoInto(c *circuit.Circuit, sc *extractScratch) {
 // fanout pin goes to a removable gate of C'. This implements the paper's
 // "common gates are not included in the count N".
 func (s *Subcircuit) Removable(c *circuit.Circuit) map[int]bool {
-	rm := map[int]bool{s.Out: true}
-	for {
-		changed := false
-		for id := range s.Gates {
-			if rm[id] || id == s.Out {
-				continue
-			}
-			if c.NumPOUses(id) > 0 {
-				continue
-			}
-			ok := true
-			for _, consumer := range c.Fanouts(id) {
-				if !rm[consumer] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				rm[id] = true
-				changed = true
-			}
-		}
-		if !changed {
-			return rm
+	sc := extractPool.Get().(*extractScratch)
+	s.markRemovable(c, sc)
+	rm := make(map[int]bool, len(sc.ids))
+	for i, id := range sc.ids {
+		if sc.rm[i] {
+			rm[id] = true
 		}
 	}
+	extractPool.Put(sc)
+	return rm
 }
 
 // GateSavings returns the equivalent-2-input weight of the removable gates:
 // the paper's N for this candidate.
 func (s *Subcircuit) GateSavings(c *circuit.Circuit) int {
+	sc := extractPool.Get().(*extractScratch)
+	s.markRemovable(c, sc)
 	n := 0
-	for id := range s.Removable(c) {
-		nd := c.Nodes[id]
-		n += circuit.Equiv2Weight(nd.Type, len(nd.Fanin))
+	for i, id := range sc.ids {
+		if sc.rm[i] {
+			nd := c.Nodes[id]
+			n += circuit.Equiv2Weight(nd.Type, len(nd.Fanin))
+		}
 	}
+	extractPool.Put(sc)
 	return n
+}
+
+// markRemovable resets sc to Out and the gates of C' and sets sc.rm for
+// each one that Removable includes. C' is acyclic and every consumer of a
+// gate inside C' comes after it in topological order, so one pass in
+// reverse topological order decides every consumer before its producer:
+// the single pass reaches the same set as iterating the rule to a
+// fixpoint. Fanouts are checked first, since the PO scan is O(#POs).
+func (s *Subcircuit) markRemovable(c *circuit.Circuit, sc *extractScratch) {
+	sc.reset()
+	s.topoInto(c, sc)
+	sc.rm[sc.add(s.Out)] = true
+	for i := len(sc.order) - 1; i >= 0; i-- {
+		id := sc.order[i]
+		if id == s.Out {
+			continue
+		}
+		j := sc.idx(id)
+		ok := true
+		for _, consumer := range c.Fanouts(id) {
+			if consumer != s.Out && (!s.Gates[consumer] || !sc.rm[sc.idx(consumer)]) {
+				ok = false
+				break
+			}
+		}
+		sc.rm[j] = ok && c.NumPOUses(id) == 0
+	}
 }

@@ -60,6 +60,9 @@ func BenchmarkFaultSimParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkResynthParallel runs the default resynthesis sweep, which is
+// serial at every worker count; the name is kept because the allocs gate in
+// scripts/ci.sh tracks it against BENCH_2026-08-06_lean.json.
 func BenchmarkResynthParallel(b *testing.B) {
 	c := gen.SmallSuite()[0].Build()
 	b.ResetTimer()
@@ -76,7 +79,7 @@ func BenchmarkResynthParallel(b *testing.B) {
 // BenchmarkResynthSharded is BenchmarkResynthParallel with the region-
 // sharded sweep: same workload, same bit-identical result, but candidate
 // evaluation fans out over footprint regions with OCC validation instead of
-// the prefetch. On the single-CPU CI host the gate is allocs/op (obsdiff
+// running serially. On the single-CPU CI host the gate is allocs/op (obsdiff
 // -tol-alloc 0.01 against BENCH_*_sharded.json), not wall-clock.
 func BenchmarkResynthSharded(b *testing.B) {
 	c := gen.SmallSuite()[0].Build()
