@@ -13,7 +13,7 @@
 // the default is ./... . Exit status: 0 clean, 1 findings (or baseline /
 // debt drift), 2 usage or load failure.
 //
-// CI runs `sftlint -baseline lint_baseline.json -sarif out/sftlint.sarif`:
+// CI runs `sftlint -rel "$PWD" -baseline lint_baseline.json -sarif sftlint.sarif`:
 // baselined findings are suppression debt, any new finding fails, and the
 // SARIF artifact lands next to the run reports. `-explain ID` prints the
 // call-path witness for one finding; `-debt` tallies suppression comments

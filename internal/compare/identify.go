@@ -75,9 +75,9 @@ func identifyBest(f logic.TT) (Spec, bool) {
 // forms, then complemented forms). Useful for picking the cheapest unit.
 func IdentifyAll(f logic.TT, limit int) []Spec {
 	var specs []Spec
-	seen := map[string]bool{}
+	seen := map[specKey]bool{}
 	add := func(s Spec) bool {
-		k := s.String()
+		k := keyOf(s)
 		if !seen[k] {
 			seen[k] = true
 			specs = append(specs, s)
@@ -89,6 +89,23 @@ func IdentifyAll(f logic.TT, limit int) []Spec {
 		enumerateNot(f, add)
 	}
 	return specs
+}
+
+// specKey identifies a Spec exactly, as a comparable value: the
+// permutation of a spec over at most logic.MaxVars inputs fits a fixed
+// array.
+type specKey struct {
+	n, l, u    int
+	complement bool
+	perm       [logic.MaxVars]int8
+}
+
+func keyOf(s Spec) specKey {
+	k := specKey{n: s.N, l: s.L, u: s.U, complement: s.Complement}
+	for i, p := range s.Perm {
+		k.perm[i] = int8(p)
+	}
+	return k
 }
 
 // searchCtx is the pooled working set of one exact search over n variables:

@@ -80,27 +80,33 @@ func (s Spec) LeqPresent() bool {
 
 // InGeq reports whether position i (1-based) has a path through the >=L
 // block: the variable is non-free and bits i..N of L are not all zero.
-func (s Spec) InGeq(i int) bool {
-	return i > s.FreeCount() && s.suffix(s.L, i) != 0
-}
+func (s Spec) InGeq(i int) bool { return s.inGeq(i, s.FreeCount()) }
 
 // InLeq reports whether position i has a path through the <=U block.
-func (s Spec) InLeq(i int) bool {
-	return i > s.FreeCount() && s.suffix(s.U, i) != (1<<(s.N-i+1))-1
-}
+func (s Spec) InLeq(i int) bool { return s.inLeq(i, s.FreeCount()) }
 
 // Kp returns the number of paths from position i (1-based) to the unit
 // output: 1 for a free variable, and the number of blocks the variable
 // participates in otherwise (0, 1 or 2). This is the K_p of Section 2.
-func (s Spec) Kp(i int) int {
-	if i <= s.FreeCount() {
+func (s Spec) Kp(i int) int { return s.kp(i, s.FreeCount()) }
+
+// inGeq, inLeq and kp are InGeq, InLeq and Kp given the free count f, so a
+// loop over all positions computes it once.
+func (s Spec) inGeq(i, f int) bool { return i > f && s.suffix(s.L, i) != 0 }
+
+func (s Spec) inLeq(i, f int) bool {
+	return i > f && s.suffix(s.U, i) != (1<<(s.N-i+1))-1
+}
+
+func (s Spec) kp(i, f int) int {
+	if i <= f {
 		return 1
 	}
 	k := 0
-	if s.InGeq(i) {
+	if s.inGeq(i, f) {
 		k++
 	}
-	if s.InLeq(i) {
+	if s.inLeq(i, f) {
 		k++
 	}
 	return k
@@ -125,10 +131,10 @@ func (s Spec) GateCost() int {
 	cost, terms := 0, f
 	tGeq, tLeq := 0, 0
 	for i := f + 1; i <= s.N; i++ {
-		if s.InGeq(i) {
+		if s.inGeq(i, f) {
 			tGeq++
 		}
-		if s.InLeq(i) {
+		if s.inLeq(i, f) {
 			tLeq++
 		}
 	}
@@ -154,9 +160,10 @@ func (s Spec) PathCost(np []uint64) uint64 {
 	if len(np) != s.N {
 		panic("compare: np length mismatch")
 	}
+	f := s.FreeCount()
 	var total uint64
 	for i := 1; i <= s.N; i++ {
-		total += np[s.Perm[i-1]] * uint64(s.Kp(i))
+		total += np[s.Perm[i-1]] * uint64(s.kp(i, f))
 	}
 	return total
 }

@@ -385,7 +385,7 @@ func (r *runner) callee(call *ast.CallExpr) *types.Func {
 // ---------------------------------------------------------------------------
 // cachekey: par.Cache must not be instantiated with string keys. String keys
 // allocate on insert and defeat the maphash.Comparable sharding the bench
-// gate pins; build a comparable struct key instead (see subckt.Key).
+// gate pins; build a comparable struct key instead (see logic.Key).
 
 func (r *runner) cachekey() {
 	parPath := r.l.ModPath + "/internal/par"

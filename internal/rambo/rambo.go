@@ -106,6 +106,8 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 			for j, v := range kept {
 				keepInputs[j] = sub.Inputs[v-1]
 			}
+			// N depends on the candidate, not on which polarity realizes it.
+			saved := sub.GateSavings(c)
 			for _, compl := range complements(opt) {
 				f := stt
 				if compl {
@@ -113,7 +115,7 @@ func onePass(c *circuit.Circuit, opt Options, cache map[string][]Cube) int {
 				}
 				cubes := minimizeCached(cache, f)
 				cost, _ := FactoredCost(f.Vars(), cubes)
-				save := sub.GateSavings(c) - cost
+				save := saved - cost
 				if best == nil || save > best.save {
 					best = &plan{sub: sub, cubes: cubes, complement: compl,
 						keepInputs: keepInputs, save: save}

@@ -665,6 +665,35 @@ type candidate struct {
 	hasCare bool
 }
 
+// cost is what the objective compares between two realizations: the gate
+// saving N - N' and the number of paths arriving at g.
+type cost struct {
+	gateSave int
+	pathsOnG uint64
+}
+
+// unit is an identified realization held unboxed, so costing it allocates
+// nothing: a single comparison unit, or a multi-unit one when isMulti.
+type unit struct {
+	single  compare.Spec
+	multi   compare.MultiSpec
+	isMulti bool
+}
+
+func (u *unit) cost(saved int, np []uint64) cost {
+	if u.isMulti {
+		return cost{saved - u.multi.GateCost(), u.multi.PathCost(np)}
+	}
+	return cost{saved - u.single.GateCost(), u.single.PathCost(np)}
+}
+
+func (u *unit) realization() compare.Realization {
+	if u.isMulti {
+		return u.multi
+	}
+	return u.single
+}
+
 // selectReplacement evaluates all candidates for gate output g and returns
 // the chosen replacement, or nil to keep the existing logic.
 //
@@ -687,15 +716,23 @@ func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
 // observations, resolved trace records) for the serial commit phase to
 // replay in canonical order; the circuit is only read, never written.
 //
+// The best realized candidate so far is held in locals, unboxed; only an
+// accepted one becomes a *candidate.
+//
 //lint:speculative
 func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate {
 	subs := o.db.EnumerateFromCuts(c, g)
 	np, npOK := o.np, o.npOK
 	oldPathsOnG := np[g]
-	var best *candidate
-	var recs []dtrace.Record               // per-candidate trace, nil unless o.dt != nil
-	bestRec := -1                          // index in recs of the current best's record
-	better := func(a, b *candidate) bool { // is a better than b?
+	var (
+		best     candidate // best realized candidate; spec and keepInputs unset
+		bestUnit unit
+		bestKept []int           // best's retained variables (1-based indices into best.sub.Inputs)
+		recs     []dtrace.Record // per-candidate trace, nil unless o.dt != nil
+		bestRec  = -1            // index in recs of the current best's record
+		npBuf    [logic.MaxVars]uint64
+	)
+	better := func(a, b cost) bool { // is a better than b?
 		switch o.opt.Objective {
 		case MinGates:
 			if a.gateSave != b.gateSave {
@@ -730,11 +767,11 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			}
 			continue // constant function: left to Simplify
 		}
-		var spec compare.Realization
+		var u unit
 		var dcCare logic.TT
 		usedDC := false
-		single, ok := o.identify(stt)
-		spec = single
+		var ok bool
+		u.single, ok = o.identify(stt)
 		if !ok && o.valbits != nil {
 			// Reachability don't-cares may still admit a single unit.
 			keep := make([]int, len(kept))
@@ -743,17 +780,15 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			}
 			care := o.careSet(keep)
 			if !care.IsConst(true) {
-				single, ok = o.identifyDC(stt, care)
-				spec = single
+				u.single, ok = o.identifyDC(stt, care)
 				if ok {
 					dcCare, usedDC = care, true
 				}
 			}
 		}
 		if !ok && o.opt.MaxUnits > 1 {
-			var multi compare.MultiSpec
-			multi, ok = o.identifyMulti(stt)
-			spec = multi
+			u.multi, ok = o.identifyMulti(stt)
+			u.isMulti = true
 		}
 		if !ok {
 			if o.dt != nil {
@@ -761,39 +796,34 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			}
 			continue
 		}
-		keepInputs := make([]int, len(kept))
-		subNp := make([]uint64, len(kept))
+		// subNp[j] is the path count into the host node of variable j+1.
+		subNp := npBuf[:len(kept)]
 		for j, v := range kept {
-			keepInputs[j] = sub.Inputs[v-1]
-			subNp[j] = np[keepInputs[j]]
+			subNp[j] = np[sub.Inputs[v-1]]
 		}
 		// N depends on the candidate, not on its realization: compute it
 		// once for every alternative below.
 		saved := sub.GateSavings(c)
-		cand := &candidate{
-			sub:        sub,
-			spec:       spec,
-			keepInputs: keepInputs,
-			gateSave:   saved - spec.GateCost(),
-			pathsOnG:   spec.PathCost(subNp),
-			stt:        stt,
-			care:       dcCare,
-			hasCare:    usedDC,
-		}
+		cur := u.cost(saved, subNp)
 		// Try alternative realizations when available.
 		if o.opt.MaxSpecs > 1 && !o.opt.UseSampling {
 			for _, alt := range o.identifyAll(stt) {
-				ac := *cand
-				ac.spec = alt
-				ac.gateSave = saved - alt.GateCost()
-				ac.pathsOnG = alt.PathCost(subNp)
-				if better(&ac, cand) {
-					*cand = ac
+				ac := cost{saved - alt.GateCost(), alt.PathCost(subNp)}
+				if better(ac, cur) {
+					cur, u = ac, unit{single: alt}
 				}
 			}
 		}
-		if best == nil || better(cand, best) {
-			best = cand
+		if best.sub == nil || better(cur, cost{best.gateSave, best.pathsOnG}) {
+			best = candidate{
+				sub:      sub,
+				gateSave: cur.gateSave,
+				pathsOnG: cur.pathsOnG,
+				stt:      stt,
+				care:     dcCare,
+				hasCare:  usedDC,
+			}
+			bestUnit, bestKept = u, kept
 			bestRec = len(recs) // the record appended just below
 		}
 		if o.dt != nil {
@@ -801,10 +831,10 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			// is resolved after the sweep below.
 			recs = o.candRec(recs, c, g, sub, oldPathsOnG, dtrace.Dominated)
 			rec := &recs[len(recs)-1]
-			rec.GateSave = cand.gateSave
-			rec.PathsAfter = cand.pathsOnG
-			rec.UsedDC = cand.hasCare
-			o.setSpec(rec, cand.spec)
+			rec.GateSave = cur.gateSave
+			rec.PathsAfter = cur.pathsOnG
+			rec.UsedDC = usedDC
+			o.setSpec(rec, u.realization())
 		}
 	}
 	// Only rewrite when the objective strictly improves (the identity
@@ -814,7 +844,7 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 	// objective would otherwise take, ObjectiveWorse for a plain shortfall.
 	accepted := false
 	rejection := dtrace.ObjectiveWorse
-	if best != nil {
+	if best.sub != nil {
 		switch o.opt.Objective {
 		case MinGates:
 			if best.gateSave > 0 || (best.gateSave == 0 && npOK && best.pathsOnG < oldPathsOnG) {
@@ -851,10 +881,16 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 			}
 		}
 	}
-	if accepted {
-		return best
+	if !accepted {
+		return nil
 	}
-	return nil
+	out := best
+	out.spec = bestUnit.realization()
+	out.keepInputs = make([]int, len(bestKept))
+	for j, v := range bestKept {
+		out.keepInputs[j] = best.sub.Inputs[v-1]
+	}
+	return &out
 }
 
 // rebuildSDC precomputes every node's value over the full primary-input

@@ -1,10 +1,9 @@
 package subckt
 
 import (
-	"sort"
+	"slices"
 
 	"compsynth/internal/circuit"
-	"compsynth/internal/digest"
 )
 
 // K-feasible cut enumeration (the standard technology-mapping algorithm).
@@ -167,78 +166,109 @@ func unionSorted(a, b []int, k int) []int {
 	return out
 }
 
+// dedupeCuts drops repeated cuts in place, keeping each one's first
+// occurrence in order (the order decides what the merge cap keeps). Cuts
+// are sorted ID slices, so equal sets are equal slices: sorting indices by
+// content puts repeats side by side, and no hashed key can collide.
 func dedupeCuts(cs [][]int) [][]int {
-	// Cuts are sorted ID slices, so a length-framed digest is a canonical
-	// set identity: no per-cut string is built. (The packed-byte string key
-	// this replaces also collided for IDs >= 2^24.)
-	seen := map[digest.D]bool{}
+	if len(cs) < 2 {
+		return cs
+	}
+	idx := make([]int, len(cs))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if d := compareCuts(cs[a], cs[b]); d != 0 {
+			return d
+		}
+		return a - b
+	})
+	dup := make([]bool, len(cs))
+	for i := 1; i < len(idx); i++ {
+		if compareCuts(cs[idx[i-1]], cs[idx[i]]) == 0 {
+			dup[idx[i]] = true
+		}
+	}
 	out := cs[:0]
-	for _, c := range cs {
-		k := digest.New().Ints(c)
-		if !seen[k] {
-			seen[k] = true
+	for i, c := range cs {
+		if !dup[i] {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func sortCuts(cs [][]int) {
-	sort.Slice(cs, func(i, j int) bool {
-		if len(cs[i]) != len(cs[j]) {
-			return len(cs[i]) < len(cs[j])
-		}
-		for x := range cs[i] {
-			if cs[i][x] != cs[j][x] {
-				return cs[i][x] < cs[j][x]
-			}
-		}
-		return false
-	})
+// compareCuts orders cuts by size, then lexicographically.
+func compareCuts(a, b []int) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return slices.Compare(a, b)
 }
+
+func sortCuts(cs [][]int) { slices.SortFunc(cs, compareCuts) }
 
 // SubcircuitFor materializes the subcircuit induced by a cut of g: all gates
 // on paths between the cut lines and g. Returns nil for the trivial cut {g}
 // or when the cut yields no gates.
 func SubcircuitFor(c *circuit.Circuit, g int, cut []int) *Subcircuit {
-	if !c.Alive(g) {
+	if !c.Alive(g) || slices.Contains(cut, g) {
 		return nil
 	}
-	inCut := map[int]bool{}
 	for _, id := range cut {
 		if !c.Alive(id) {
 			return nil
 		}
-		inCut[id] = true
 	}
-	if inCut[g] {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.gates = sc.gates[:0]
+	sc.reached = append(sc.reached[:0], make([]bool, len(cut))...)
+	if !sc.walk(c, cut, g) {
 		return nil
 	}
-	gates := map[int]bool{}
-	var walk func(id int) bool
-	walk = func(id int) bool {
-		if inCut[id] {
+	// Inputs are the cut lines the walk reached (already sorted for a
+	// CutDB cut). One allocation holds both slices.
+	n := len(sc.gates)
+	ids := make([]int, n, n+len(cut))
+	copy(ids, sc.gates)
+	for i, id := range cut {
+		if sc.reached[i] {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids[n:])
+	return &Subcircuit{Out: g, Gates: ids[:n:n], Inputs: ids[n:]}
+}
+
+// walk visits id and the not-yet-visited gates of its fanin cone that lie
+// above the cut, appending each to sc.gates after its fanins (post-order),
+// so sc.gates ends topologically ordered with the starting gate last. It
+// flags the cut lines it reaches and returns false if a path escapes the
+// cut to a primary input. Constants have no fanin and are never inputs: a
+// constant listed in the cut is absorbed like any other.
+func (sc *scratch) walk(c *circuit.Circuit, cut []int, id int) bool {
+	nd := c.Nodes[id]
+	if nd.Type != circuit.Const0 && nd.Type != circuit.Const1 {
+		if i := slices.Index(cut, id); i >= 0 {
+			sc.reached[i] = true
 			return true
 		}
-		if gates[id] {
-			return true
-		}
-		nd := c.Nodes[id]
-		if nd.Type == circuit.Input {
-			return false // a path escapes the cut: not a valid cover
-		}
-		gates[id] = true
-		for _, f := range nd.Fanin {
-			if !walk(f) {
-				return false
-			}
-		}
+	}
+	if slices.Contains(sc.gates, id) {
 		return true
 	}
-	if !walk(g) {
-		return nil
+	if nd.Type == circuit.Input {
+		return false // a path escapes the cut: not a valid cover
 	}
-	return newSub(c, g, gates)
+	for _, f := range nd.Fanin {
+		if !sc.walk(c, cut, f) {
+			return false
+		}
+	}
+	sc.gates = append(sc.gates, id)
+	return true
 }
 
 // EnumerateFromCuts generates the candidate subcircuits of g from its cut

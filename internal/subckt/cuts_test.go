@@ -1,6 +1,7 @@
 package subckt
 
 import (
+	"slices"
 	"testing"
 
 	"compsynth/internal/bench"
@@ -195,5 +196,21 @@ func TestUnionSorted(t *testing.T) {
 	a, b := []int{1, 3, 5}, []int{2, 4, 6}
 	if n := testing.AllocsPerRun(100, func() { unionSorted(a, b, 5) }); n != 0 {
 		t.Fatalf("rejected union allocates %v times", n)
+	}
+}
+
+// TestDedupeCuts: repeats go, and the kept cuts stay in first-occurrence
+// order, which decides what the merge cap keeps.
+func TestDedupeCuts(t *testing.T) {
+	in := [][]int{{3}, {1, 2}, {}, {3}, {1, 2, 5}, {1, 2}, {}, {2, 1 << 30}, {2, 1 << 30}}
+	want := [][]int{{3}, {1, 2}, {}, {1, 2, 5}, {2, 1 << 30}}
+	got := dedupeCuts(in)
+	if len(got) != len(want) {
+		t.Fatalf("dedupeCuts = %v, want %v", got, want)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("dedupeCuts = %v, want %v", got, want)
+		}
 	}
 }

@@ -12,12 +12,12 @@ import (
 // reference: starting from {Out}, add any gate of C' that drives no PO and
 // whose every fanout pin goes to a gate already in the set, until nothing
 // changes.
-func refRemovable(s *Subcircuit, c *circuit.Circuit) map[int]bool {
-	rm := map[int]bool{s.Out: true}
+func refRemovable(c *circuit.Circuit, out int, gates map[int]bool) map[int]bool {
+	rm := map[int]bool{out: true}
 	for {
 		changed := false
-		for id := range s.Gates {
-			if rm[id] || id == s.Out {
+		for id := range gates {
+			if rm[id] || id == out {
 				continue
 			}
 			if c.NumPOUses(id) > 0 {
@@ -42,13 +42,21 @@ func refRemovable(s *Subcircuit, c *circuit.Circuit) map[int]bool {
 }
 
 // refGateSavings is GateSavings over refRemovable.
-func refGateSavings(s *Subcircuit, c *circuit.Circuit) int {
+func refGateSavings(c *circuit.Circuit, out int, gates map[int]bool) int {
 	n := 0
-	for id := range refRemovable(s, c) {
+	for id := range refRemovable(c, out, gates) {
 		nd := c.Nodes[id]
 		n += circuit.Equiv2Weight(nd.Type, len(nd.Fanin))
 	}
 	return n
+}
+
+func setOf(ids []int) map[int]bool {
+	m := map[int]bool{}
+	for _, id := range ids {
+		m[id] = true
+	}
+	return m
 }
 
 func isGate(c *circuit.Circuit, id int) bool {
@@ -69,12 +77,12 @@ func checkRemovable(t *testing.T, name string, c *circuit.Circuit, k int) int {
 		}
 		for _, s := range db.EnumerateFromCuts(c, g) {
 			n++
-			got, want := s.Removable(c), refRemovable(s, c)
+			got, want := s.Removable(c), refRemovable(c, g, setOf(s.Gates))
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s K=%d out=%d gates=%v: Removable = %v, want %v",
 					name, k, g, s.Gates, got, want)
 			}
-			if got, want := s.GateSavings(c), refGateSavings(s, c); got != want {
+			if got, want := s.GateSavings(c), refGateSavings(c, g, setOf(s.Gates)); got != want {
 				t.Fatalf("%s K=%d out=%d: GateSavings = %d, want %d", name, k, g, got, want)
 			}
 		}
@@ -124,12 +132,12 @@ func TestRemovablePODriverChain(t *testing.T) {
 	g3 := c.AddGate(circuit.Nand, "g3", g2, a)
 	c.MarkOutput(g2)
 	c.MarkOutput(g3)
-	s := &Subcircuit{Out: g3, Gates: map[int]bool{g1: true, g2: true, g3: true}, Inputs: []int{a, b, d}}
+	s := &Subcircuit{Out: g3, Gates: []int{g1, g2, g3}, Inputs: []int{a, b, d}}
 	want := map[int]bool{g3: true}
 	if got := s.Removable(c); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Removable = %v, want %v", got, want)
 	}
-	if got := refRemovable(s, c); !reflect.DeepEqual(got, want) {
+	if got := refRemovable(c, g3, setOf(s.Gates)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("refRemovable = %v, want %v", got, want)
 	}
 	if got := s.GateSavings(c); got != 1 {

@@ -8,23 +8,19 @@
 package subckt
 
 import (
-	"math/bits"
-	"sort"
+	"fmt"
+	"slices"
 	"sync"
 
 	"compsynth/internal/circuit"
-	"compsynth/internal/digest"
 	"compsynth/internal/logic"
 )
 
 // Subcircuit is one candidate C' with output Out.
 type Subcircuit struct {
-	Out    int          // output node ID (a gate of the host circuit)
-	Gates  map[int]bool // node IDs inside C' (includes absorbed constants)
-	Inputs []int        // external driving node IDs, sorted ascending
-
-	key   Key // lazily computed by Key()
-	keyed bool
+	Out    int   // output node ID (a gate of the host circuit)
+	Gates  []int // node IDs inside C' (absorbed constants included), topologically ordered, Out last
+	Inputs []int // external driving node IDs, sorted ascending
 }
 
 // Options bounds the enumeration.
@@ -44,17 +40,18 @@ func DefaultOptions() Options {
 
 // Enumerate generates the candidate subcircuits with output g, in expansion
 // order, starting with the single-gate subcircuit. g must be a gate output.
+// Two expansions that reach the same gate set yield one candidate.
 func Enumerate(c *circuit.Circuit, g int, opt Options) []*Subcircuit {
 	nd := c.Nodes[g]
 	if nd.Type == circuit.Input {
 		panic("subckt: enumeration from a primary input")
 	}
-	first := newSub(c, g, map[int]bool{g: true})
+	first := newSub(c, g, []int{g})
 	if len(first.Inputs) > opt.MaxInputs {
 		return nil
 	}
 	out := []*Subcircuit{first}
-	seen := map[Key]bool{first.Key(): true}
+	seen := map[string]bool{gateSet(first.Gates): true}
 	for i := 0; i < len(out); i++ {
 		if opt.MaxCandidates > 0 && len(out) >= opt.MaxCandidates {
 			break
@@ -65,16 +62,11 @@ func Enumerate(c *circuit.Circuit, g int, opt Options) []*Subcircuit {
 			if h.Type == circuit.Input {
 				continue
 			}
-			gates := make(map[int]bool, len(cur.Gates)+1)
-			for id := range cur.Gates {
-				gates[id] = true
-			}
-			gates[in] = true
-			cand := newSub(c, g, gates)
+			cand := newSub(c, g, append(slices.Clone(cur.Gates), in))
 			if len(cand.Inputs) > opt.MaxInputs || len(cand.Inputs) == 0 {
 				continue
 			}
-			k := cand.Key()
+			k := gateSet(cand.Gates)
 			if seen[k] {
 				continue
 			}
@@ -88,68 +80,60 @@ func Enumerate(c *circuit.Circuit, g int, opt Options) []*Subcircuit {
 	return out
 }
 
-// newSub computes the input set and absorbs constant drivers.
-func newSub(c *circuit.Circuit, g int, gates map[int]bool) *Subcircuit {
+// gateSet is an exact identity of a gate set: its sorted IDs, printed.
+func gateSet(gates []int) string {
+	s := slices.Clone(gates)
+	slices.Sort(s)
+	return fmt.Sprint(s)
+}
+
+// newSub builds the candidate with output g over the given gates: it
+// absorbs constant drivers, collects the input set and orders the gates.
+func newSub(c *circuit.Circuit, g int, gates []int) *Subcircuit {
 	// Constants inside cost nothing and have fixed values; absorb them so
-	// they never occupy input slots.
-	inSet := map[int]bool{}
-	//lint:ordered inserted entries are constants with no fanin, so visiting them is a no-op and inSet is the same either way
-	for id := range gates {
-		for _, f := range c.Nodes[id].Fanin {
-			if gates[f] {
+	// they never occupy input slots. An absorbed constant has no fanin, so
+	// the scan over the growing slice visits it as a no-op.
+	var inputs []int
+	for i := 0; i < len(gates); i++ {
+		for _, f := range c.Nodes[gates[i]].Fanin {
+			if slices.Contains(gates, f) {
 				continue
 			}
 			t := c.Nodes[f].Type
 			if t == circuit.Const0 || t == circuit.Const1 {
-				gates[f] = true
+				gates = append(gates, f)
 				continue
 			}
-			inSet[f] = true
+			if !slices.Contains(inputs, f) {
+				inputs = append(inputs, f)
+			}
 		}
 	}
-	inputs := make([]int, 0, len(inSet))
-	for id := range inSet {
-		inputs = append(inputs, id)
-	}
-	sort.Ints(inputs)
-	return &Subcircuit{Out: g, Gates: gates, Inputs: inputs}
+	slices.Sort(inputs)
+	return &Subcircuit{Out: g, Gates: topoOrder(c, g, gates), Inputs: inputs}
 }
 
-// Key is a canonical, fixed-size, comparable identity for a subcircuit
-// within one circuit snapshot. The gate set is folded order-independently —
-// each gate ID is digested individually and the 128-bit digests are combined
-// with two independent commutative operators (addition mod 2^128 and XOR) —
-// so the key needs no sorted ID slice and no string: computing it allocates
-// nothing. Out and the gate count ride along as exact fields.
-//
-// Unlike the packed-byte string key this replaces, IDs of any magnitude are
-// handled (the old 3-byte packing silently collided for IDs >= 2^24).
-type Key struct {
-	SumLo, SumHi uint64 // sum mod 2^128 of per-gate digests
-	XorLo        uint64 // xor fold of per-gate digest low halves
-	Out          int32
-	N            int32 // gate count
-}
-
-// Key returns the subcircuit's identity, computing it on first use. It
-// names the gate set, not the function: the gates' fanin (and with it the
-// order of Inputs) is not part of the key, and a rewiring such as
-// circuit.ReplaceUses can change it, so the key must not memoize Extract.
-func (s *Subcircuit) Key() Key {
-	if s.keyed {
-		return s.key
+// topoOrder returns gates in DFS post-order from g over fanin edges that
+// stay inside the set, so every gate follows its fanins and g comes last.
+// Every gate of a candidate reaches g: each was absorbed as the driver of
+// a line already inside.
+func topoOrder(c *circuit.Circuit, g int, gates []int) []int {
+	order := make([]int, 0, len(gates))
+	var visit func(id int)
+	visit = func(id int) {
+		if !slices.Contains(gates, id) || slices.Contains(order, id) {
+			return
+		}
+		for _, f := range c.Nodes[id].Fanin {
+			visit(f)
+		}
+		order = append(order, id)
 	}
-	k := Key{Out: int32(s.Out), N: int32(len(s.Gates))}
-	//lint:ordered commutative fold: mod-2^128 addition and XOR of per-gate digests give the same key for any order
-	for id := range s.Gates {
-		d := digest.New().Int(id)
-		var carry uint64
-		k.SumLo, carry = bits.Add64(k.SumLo, d.Lo, 0)
-		k.SumHi, _ = bits.Add64(k.SumHi, d.Hi, carry)
-		k.XorLo ^= d.Lo
+	visit(g)
+	if len(order) != len(gates) {
+		panic("subckt: candidate gate does not reach its output")
 	}
-	s.key, s.keyed = k, true
-	return k
+	return order
 }
 
 // varTabs caches the variable truth tables Var(n, 1..n) per input count, so
@@ -174,50 +158,33 @@ func varTablesFor(n int) []logic.TT {
 	return t
 }
 
-// extractScratch is the reusable working set of Extract and Removable: a
-// small linear-scan association from node ID to its current 64-pattern word
-// and removability verdict (the sets involved are tiny — |gates| + |inputs|
-// is bounded by the cut size), the internal topological order, and the
-// fanin word buffer. Pooled so concurrent callers (the sharded sweep's
-// workers) each grab their own.
-type extractScratch struct {
-	ids   []int
-	vals  []uint64
-	state []int8 // DFS state per ids entry: 0 unseen, 1 visiting, 2 done
-	rm    []bool // removability per ids entry (markRemovable)
-	order []int
-	buf   []uint64
+// scratch is the pooled working set of SubcircuitFor, Extract and
+// markRemovable: the cut walk's gate order and reached-cut flags, the
+// evaluation values (Inputs first, then Gates, by position), per-gate
+// removability, and the fanin word buffer. The sets involved are tiny —
+// |Gates| + |Inputs| is bounded by the cone of a K-input cut — so
+// membership is a linear scan. Pooled so concurrent callers (the sharded
+// sweep's workers) each grab their own.
+type scratch struct {
+	gates   []int
+	reached []bool
+	vals    []uint64
+	rm      []bool
+	buf     []uint64
 }
 
-var extractPool = sync.Pool{New: func() any { return new(extractScratch) }}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func (sc *extractScratch) reset() {
-	sc.ids = sc.ids[:0]
-	sc.vals = sc.vals[:0]
-	sc.state = sc.state[:0]
-	sc.rm = sc.rm[:0]
-	sc.order = sc.order[:0]
-	sc.buf = sc.buf[:0]
-}
-
-func (sc *extractScratch) idx(id int) int {
-	for i, x := range sc.ids {
-		if x == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func (sc *extractScratch) add(id int) int {
-	if i := sc.idx(id); i >= 0 {
+// index returns the position of id in s.Inputs ++ s.Gates, the layout of
+// scratch.vals, or -1.
+func (s *Subcircuit) index(id int) int {
+	if i := slices.Index(s.Inputs, id); i >= 0 {
 		return i
 	}
-	sc.ids = append(sc.ids, id)
-	sc.vals = append(sc.vals, 0)
-	sc.state = append(sc.state, 0)
-	sc.rm = append(sc.rm, false)
-	return len(sc.ids) - 1
+	if i := slices.Index(s.Gates, id); i >= 0 {
+		return len(s.Inputs) + i
+	}
+	return -1
 }
 
 // Extract computes the truth table of the function C' implements on Out,
@@ -229,66 +196,31 @@ func (s *Subcircuit) Extract(c *circuit.Circuit) logic.TT {
 	n := len(s.Inputs)
 	tt := logic.New(n)
 	vt := varTablesFor(n)
-	sc := extractPool.Get().(*extractScratch)
-	sc.reset()
-	for _, in := range s.Inputs {
-		sc.add(in)
-	}
-	s.topoInto(c, sc)
-	// Evaluate internal gates in topological order, 64 minterms at a time,
-	// driving each input with its variable pattern.
+	sc := scratchPool.Get().(*scratch)
+	sc.vals = slices.Grow(sc.vals[:0], n+len(s.Gates))[:n+len(s.Gates)]
+	// Evaluate the gates in their stored topological order, 64 minterms at
+	// a time, driving each input with its variable pattern.
 	words := tt.Words()
-	outIdx := sc.idx(s.Out)
 	for w := range words {
-		for j, in := range s.Inputs {
-			sc.vals[sc.idx(in)] = vt[j].Words()[w]
+		for j := range s.Inputs {
+			sc.vals[j] = vt[j].Words()[w]
 		}
-		for _, id := range sc.order {
+		for i, id := range s.Gates {
 			nd := c.Nodes[id]
 			sc.buf = sc.buf[:0]
 			for _, f := range nd.Fanin {
-				sc.buf = append(sc.buf, sc.vals[sc.idx(f)])
+				sc.buf = append(sc.buf, sc.vals[s.index(f)])
 			}
-			sc.vals[sc.idx(id)] = nd.Type.EvalWords(sc.buf)
+			sc.vals[n+i] = nd.Type.EvalWords(sc.buf)
 		}
-		words[w] = sc.vals[outIdx]
+		words[w] = sc.vals[n+len(s.Gates)-1] // Out is the last gate
 	}
 	// Trim invalid high bits for n < 6.
 	if n < 6 {
 		words[0] &= (uint64(1) << (1 << n)) - 1
 	}
-	extractPool.Put(sc)
+	scratchPool.Put(sc)
 	return tt
-}
-
-// topoInto appends the subcircuit's gates to sc.order in topological order,
-// registering each in the scratch association.
-func (s *Subcircuit) topoInto(c *circuit.Circuit, sc *extractScratch) {
-	var visit func(id int)
-	visit = func(id int) {
-		if !s.Gates[id] {
-			return
-		}
-		i := sc.add(id)
-		if sc.state[i] == 2 {
-			return
-		}
-		if sc.state[i] == 1 {
-			panic("subckt: cycle inside subcircuit")
-		}
-		sc.state[i] = 1
-		for _, f := range c.Nodes[id].Fanin {
-			visit(f)
-		}
-		sc.state[i] = 2
-		sc.order = append(sc.order, id)
-	}
-	visit(s.Out)
-	// Gates unreachable from Out (can happen when an absorbed gate only
-	// feeds outside) are appended; they do not affect the function.
-	for id := range s.Gates {
-		visit(id)
-	}
 }
 
 // Removable returns the set of gates that disappear if C' is replaced by a
@@ -297,57 +229,57 @@ func (s *Subcircuit) topoInto(c *circuit.Circuit, sc *extractScratch) {
 // fanout pin goes to a removable gate of C'. This implements the paper's
 // "common gates are not included in the count N".
 func (s *Subcircuit) Removable(c *circuit.Circuit) map[int]bool {
-	sc := extractPool.Get().(*extractScratch)
+	sc := scratchPool.Get().(*scratch)
 	s.markRemovable(c, sc)
-	rm := make(map[int]bool, len(sc.ids))
-	for i, id := range sc.ids {
+	rm := map[int]bool{}
+	for i, id := range s.Gates {
 		if sc.rm[i] {
 			rm[id] = true
 		}
 	}
-	extractPool.Put(sc)
+	scratchPool.Put(sc)
 	return rm
 }
 
 // GateSavings returns the equivalent-2-input weight of the removable gates:
 // the paper's N for this candidate.
 func (s *Subcircuit) GateSavings(c *circuit.Circuit) int {
-	sc := extractPool.Get().(*extractScratch)
+	sc := scratchPool.Get().(*scratch)
 	s.markRemovable(c, sc)
 	n := 0
-	for i, id := range sc.ids {
+	for i, id := range s.Gates {
 		if sc.rm[i] {
 			nd := c.Nodes[id]
 			n += circuit.Equiv2Weight(nd.Type, len(nd.Fanin))
 		}
 	}
-	extractPool.Put(sc)
+	scratchPool.Put(sc)
 	return n
 }
 
-// markRemovable resets sc to Out and the gates of C' and sets sc.rm for
-// each one that Removable includes. C' is acyclic and every consumer of a
-// gate inside C' comes after it in topological order, so one pass in
-// reverse topological order decides every consumer before its producer:
-// the single pass reaches the same set as iterating the rule to a
-// fixpoint. Fanouts are checked first, since the PO scan is O(#POs).
-func (s *Subcircuit) markRemovable(c *circuit.Circuit, sc *extractScratch) {
-	sc.reset()
-	s.topoInto(c, sc)
-	sc.rm[sc.add(s.Out)] = true
-	for i := len(sc.order) - 1; i >= 0; i-- {
-		id := sc.order[i]
-		if id == s.Out {
-			continue
-		}
-		j := sc.idx(id)
+// markRemovable sets sc.rm[i] for each gate s.Gates[i] that Removable
+// includes. Every consumer of a gate inside C' comes after it in the
+// stored topological order, so one pass in reverse order decides every
+// consumer before its producer: the single pass reaches the same set as
+// iterating the rule to a fixpoint. Fanouts are checked first, since the
+// PO scan is O(#POs).
+func (s *Subcircuit) markRemovable(c *circuit.Circuit, sc *scratch) {
+	last := len(s.Gates) - 1
+	sc.rm = slices.Grow(sc.rm[:0], len(s.Gates))[:len(s.Gates)]
+	sc.rm[last] = true // Out
+	for i := last - 1; i >= 0; i-- {
+		id := s.Gates[i]
 		ok := true
 		for _, consumer := range c.Fanouts(id) {
-			if consumer != s.Out && (!s.Gates[consumer] || !sc.rm[sc.idx(consumer)]) {
+			if consumer == s.Out {
+				continue
+			}
+			j := slices.Index(s.Gates, consumer)
+			if j < 0 || !sc.rm[j] {
 				ok = false
 				break
 			}
 		}
-		sc.rm[j] = ok && c.NumPOUses(id) == 0
+		sc.rm[i] = ok && c.NumPOUses(id) == 0
 	}
 }

@@ -15,7 +15,7 @@ func TestEnumerateSingleGateFirst(t *testing.T) {
 	if len(subs) == 0 {
 		t.Fatal("no candidates")
 	}
-	if len(subs[0].Gates) != 1 || !subs[0].Gates[g] {
+	if len(subs[0].Gates) != 1 || subs[0].Gates[0] != g {
 		t.Fatalf("first candidate not the single gate: %v", subs[0].Gates)
 	}
 	// Growing candidates exist: 22 = NAND(10,16), absorbing 10 or 16.
@@ -140,7 +140,7 @@ func TestRemovableRespectsFanout(t *testing.T) {
 	g3 := c.AddGate(circuit.Or, "g3", g1, a)
 	c.MarkOutput(g2)
 	c.MarkOutput(g3)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b}}
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
 	rm := s.Removable(c)
 	if !rm[g2] {
 		t.Fatal("output gate must be removable")
@@ -163,7 +163,7 @@ func TestRemovableChain(t *testing.T) {
 	g1 := c.AddGate(circuit.And, "g1", a, b)
 	g2 := c.AddGate(circuit.Or, "g2", g1, d)
 	c.MarkOutput(g2)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b, d}}
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b, d}}
 	rm := s.Removable(c)
 	if !rm[g1] || !rm[g2] {
 		t.Fatalf("removable = %v", rm)
@@ -182,7 +182,7 @@ func TestRemovablePODriverInside(t *testing.T) {
 	g2 := c.AddGate(circuit.Not, "g2", g1)
 	c.MarkOutput(g1)
 	c.MarkOutput(g2)
-	s := &Subcircuit{Out: g2, Gates: map[int]bool{g1: true, g2: true}, Inputs: []int{a, b}}
+	s := &Subcircuit{Out: g2, Gates: []int{g1, g2}, Inputs: []int{a, b}}
 	if s.Removable(c)[g1] {
 		t.Fatal("PO driver marked removable")
 	}

@@ -39,8 +39,9 @@ go build -o "$sftlint" ./cmd/sftlint
 # Tree gate. The SARIF artifact lands next to the run reports
 # (BENCH_*.json) at the repo root; it records every finding including the
 # baselined debt, and the output is byte-stable, so the committed copy only
-# changes when the findings do.
-"$sftlint" -baseline lint_baseline.json -sarif sftlint.sarif ./...
+# changes when the findings do. -rel keeps its paths relative to the
+# repository root, so the file does not depend on where it is checked out.
+"$sftlint" -rel "$PWD" -baseline lint_baseline.json -sarif sftlint.sarif ./...
 # Suppression-debt gate: the //lint:ordered///lint:speculative comment
 # counts and the baselined-finding tally must match the counts pinned in
 # lint_baseline.json — growing debt without a reviewed baseline update in
