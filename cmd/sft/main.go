@@ -5,7 +5,7 @@
 // Usage:
 //
 //	sft -in circuit.bench [-out out.bench] [-objective gates|paths|combined]
-//	    [-k 5] [-sampling] [-redundancy] [-report] [-workers n] [-shard]
+//	    [-k 5] [-sampling] [-redundancy] [-report] [-workers n]
 //	    [-trace] [-metrics-out report.json] [-v] [-listen addr] [-events file]
 package main
 
@@ -37,7 +37,6 @@ func main() {
 		useSDC    = flag.Bool("sdc", false, "use reachability don't-cares during identification (Sec. 6 ext.)")
 		report    = flag.Bool("report", false, "print a testability report (stuck-at + path delay)")
 		seed      = flag.Int64("seed", 1995, "seed for campaigns")
-		shard     = flag.Bool("shard", false, "region-sharded parallel resynthesis (bit-identical to serial)")
 	)
 	oflags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -62,7 +61,7 @@ func main() {
 	}
 
 	run := oflags.Start("sft")
-	if err := sft(run, *in, *out, obj, *k, *sampling, *redund, *maxUnits, *useSDC, *report, *seed, oflags.Workers, *shard); err != nil {
+	if err := sft(run, *in, *out, obj, *k, *sampling, *redund, *maxUnits, *useSDC, *report, *seed, oflags.Workers); err != nil {
 		os.Exit(run.Fail(err))
 	}
 	if err := run.Finish(); err != nil {
@@ -72,7 +71,7 @@ func main() {
 }
 
 func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
-	sampling, redund bool, maxUnits int, useSDC, report bool, seed int64, workers int, shard bool) error {
+	sampling, redund bool, maxUnits int, useSDC, report bool, seed int64, workers int) error {
 	lg := run.Log
 
 	sp := run.Tracer.StartSpan("load")
@@ -86,9 +85,8 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 		return err
 	}
 	// The semantic options that determine the output, for the certificate
-	// (machine knobs like -workers and -shard are deliberately excluded:
-	// they do not change the result, and certificates must not depend on
-	// the host).
+	// (machine knobs like -workers are deliberately excluded: they do not
+	// change the result, and certificates must not depend on the host).
 	run.SetCertOptions(struct {
 		Objective  string `json:"objective"`
 		K          int    `json:"k"`
@@ -112,8 +110,6 @@ func sft(run *obs.Run, in, out string, obj resynth.Objective, k int,
 	opt.MaxUnits = maxUnits
 	opt.UseSDC = useSDC
 	opt.Seed = seed
-	opt.Workers = workers
-	opt.Shard = shard
 	opt.Tracer = run.Tracer
 	opt.Dtrace = run.Dtrace()
 	opt.Check = run.CheckEnabled()

@@ -2,7 +2,7 @@
 // internal/lint): the syntactic rules (wall-clock/global-RNG bans,
 // map-iteration-order hazards, obs metric naming, par.Cache key types,
 // out-of-package circuit-node mutation) and the interprocedural rules on
-// the whole-module call graph (purity of par task/cache/speculative seams,
+// the whole-module call graph (purity of par task and cache seams,
 // transitive wall-clock taint, unsynchronized goroutine-captured writes).
 //
 // Usage:

@@ -171,8 +171,6 @@ type Circuit struct {
 	topoCache  []int
 	levelCache []int
 	journal    map[int]bool // touched-node recording; nil = off (see journal.go)
-	scopeOn    bool         // scoped overlay capture active (see journal.go)
-	scopeIDs   []int        // overlay capture buffer, in touch order
 	fz         frozenState  // frozen CSR view + its edit tracking (see csr.go)
 }
 

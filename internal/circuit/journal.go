@@ -37,36 +37,9 @@ func (c *Circuit) EndJournal() {
 	c.journal = nil
 }
 
-// BeginEditScope starts a scoped overlay capture: until EndEditScope, every
-// touched node ID is also appended (in touch order, duplicates kept) to a
-// buffer independent of the long-lived journal. The sharded resynthesis
-// commit phase brackets each applied replacement with a scope to learn
-// exactly which nodes that one edit moved — the write set it validates later
-// speculations against — without consuming the pass-level journal that the
-// incremental refresh depends on. Scopes do not nest; a second Begin simply
-// restarts the capture.
-func (c *Circuit) BeginEditScope() {
-	c.scopeOn = true
-	c.scopeIDs = c.scopeIDs[:0]
-}
-
-// EndEditScope stops the overlay capture and returns the touched IDs in
-// touch order (duplicates kept; the slice is reused by the next
-// BeginEditScope). Returns nil if no scope was open.
-func (c *Circuit) EndEditScope() []int {
-	if !c.scopeOn {
-		return nil
-	}
-	c.scopeOn = false
-	return c.scopeIDs
-}
-
 func (c *Circuit) touch(id int) {
 	if c.journal != nil {
 		c.journal[id] = true
-	}
-	if c.scopeOn {
-		c.scopeIDs = append(c.scopeIDs, id)
 	}
 	// Every touch also advances the frozen-view generation (csr.go), whether
 	// or not journal recording is on.

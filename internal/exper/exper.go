@@ -53,10 +53,10 @@ type Config struct {
 	// Workers bounds the concurrency of suite preparation and table
 	// regeneration (0 = runtime.GOMAXPROCS(0), 1 = serial). Benchmark
 	// circuits and table rows are independent, so they run through one
-	// bounded pool; the engines inside each row (fault-simulation blocks,
-	// the sharded resynthesis sweep) then run serial so the machine is
-	// not oversubscribed, and inherit the full worker budget only when the
-	// row fan-out cannot use it (a single-circuit suite). Every level is
+	// bounded pool; the fault-simulation blocks inside each row then run
+	// serial so the machine is not oversubscribed, and inherit the full
+	// worker budget only when the row fan-out cannot use it (a
+	// single-circuit suite). Resynthesis is always serial. Every level is
 	// bit-identical for every worker count, so the split is purely a
 	// scheduling choice.
 	Workers int
@@ -149,7 +149,7 @@ func (s *Suite) Proc2(nc Named) (*resynth.Result, int, error) {
 	if ok {
 		return r.res, r.k, nil
 	}
-	res, k, err := runProc(nc.Circuit, resynth.MinGates, s.cfg, s.inner)
+	res, k, err := runProc(nc.Circuit, resynth.MinGates, s.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -167,7 +167,7 @@ func (s *Suite) Proc3(nc Named) (*resynth.Result, int, error) {
 	if ok {
 		return r.res, r.k, nil
 	}
-	res, k, err := runProc(nc.Circuit, resynth.MinPaths, s.cfg, s.inner)
+	res, k, err := runProc(nc.Circuit, resynth.MinPaths, s.cfg)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -273,9 +273,8 @@ func contains(xs []string, s string) bool {
 }
 
 // runProc runs a resynthesis procedure for each K and returns the best
-// result under the objective. workers is passed to the optimizer, whose
-// default serial sweep ignores it (it never changes results).
-func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config, workers int) (*resynth.Result, int, error) {
+// result under the objective.
+func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config) (*resynth.Result, int, error) {
 	var best *resynth.Result
 	bestK := 0
 	for _, k := range cfg.Ks {
@@ -284,7 +283,6 @@ func runProc(c *circuit.Circuit, obj resynth.Objective, cfg Config, workers int)
 		opt.Objective = obj
 		opt.Verify = cfg.Verify
 		opt.Check = cfg.Check
-		opt.Workers = workers
 		opt.Tracer = cfg.Tracer
 		res, err := resynth.Optimize(c, opt)
 		if err != nil {
@@ -384,7 +382,7 @@ func Table3(s *Suite) ([]Table3Row, error) {
 		}
 		ccfg := s.cfg
 		ccfg.Ks = []int{6}
-		combo, k, err := runProc(rres.Circuit, resynth.MinGates, ccfg, s.inner)
+		combo, k, err := runProc(rres.Circuit, resynth.MinGates, ccfg)
 		if err != nil {
 			return Table3Row{}, fmt.Errorf("%s: combo: %v", nc.Name, err)
 		}
@@ -436,7 +434,7 @@ func Table4(s *Suite) (partA, partB []Table4Row, err error) {
 		}
 		ccfg := s.cfg
 		ccfg.Ks = []int{6}
-		combo, _, err := runProc(rres.Circuit, resynth.MinGates, ccfg, s.inner)
+		combo, _, err := runProc(rres.Circuit, resynth.MinGates, ccfg)
 		if err != nil {
 			return pair{}, err
 		}
@@ -563,7 +561,7 @@ func Table7(s *Suite) ([]Table7Row, error) {
 	return par.MapErr(s.pool, len(versions), func(i int) (Table7Row, error) {
 		defer rowDone()
 		v := versions[i]
-		mod, _, err := runProc(v.c, resynth.MinGates, cfg, s.inner)
+		mod, _, err := runProc(v.c, resynth.MinGates, cfg)
 		if err != nil {
 			return Table7Row{}, err
 		}

@@ -18,7 +18,7 @@ import (
 // a mandatory justification, mirroring the //lint:ordered comment form.
 //
 // The ledger also pins the per-package counts of the in-source suppression
-// comments (//lint:ordered, //lint:speculative). sftlint -debt recomputes
+// comments (//lint:ordered). sftlint -debt recomputes
 // them and fails on any drift in either direction: growth means new
 // suppressions sneaked in without review; shrinkage means the ledger
 // overstates the debt and must be ratcheted down in the same commit.
@@ -31,8 +31,7 @@ type BaselineEntry struct {
 
 // DebtCounts tallies in-source suppression comments for one package.
 type DebtCounts struct {
-	Ordered     int `json:"ordered,omitempty"`
-	Speculative int `json:"speculative,omitempty"`
+	Ordered int `json:"ordered,omitempty"`
 }
 
 // Baseline is the parsed ledger.
@@ -95,8 +94,7 @@ func (b *Baseline) Apply(ds []Diagnostic) (fresh []Diagnostic, stale []string) {
 	return fresh, stale
 }
 
-// CountDebt tallies //lint:ordered and //lint:speculative comments per
-// package (keyed by import path relative to the module).
+// CountDebt tallies //lint:ordered comments per package (keyed by import path relative to the module).
 func CountDebt(l *Loader, pkgs []*Package) map[string]DebtCounts {
 	out := map[string]DebtCounts{}
 	for _, p := range pkgs {
@@ -105,11 +103,8 @@ func CountDebt(l *Loader, pkgs []*Package) map[string]DebtCounts {
 		for _, f := range p.Files {
 			for _, cg := range f.Comments {
 				for _, cm := range cg.List {
-					switch {
-					case strings.HasPrefix(cm.Text, "//lint:ordered"):
+					if strings.HasPrefix(cm.Text, "//lint:ordered") {
 						c.Ordered++
-					case strings.HasPrefix(cm.Text, "//lint:speculative"):
-						c.Speculative++
 					}
 				}
 			}
@@ -158,16 +153,15 @@ func DebtReport(current map[string]DebtCounts, b *Baseline) string {
 	}
 	sort.Strings(sorted)
 	var sb strings.Builder
-	var tOrd, tSpec, tBase int
+	var tOrd, tBase int
 	for _, k := range sorted {
 		c := current[k]
 		nb := perPkg[k]
-		fmt.Fprintf(&sb, "%-40s ordered=%-3d speculative=%-3d baselined=%d\n", k, c.Ordered, c.Speculative, nb)
+		fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", k, c.Ordered, nb)
 		tOrd += c.Ordered
-		tSpec += c.Speculative
 		tBase += nb
 	}
-	fmt.Fprintf(&sb, "%-40s ordered=%-3d speculative=%-3d baselined=%d\n", "TOTAL", tOrd, tSpec, tBase)
+	fmt.Fprintf(&sb, "%-40s ordered=%-3d baselined=%d\n", "TOTAL", tOrd, tBase)
 	return sb.String()
 }
 
@@ -199,7 +193,6 @@ func CompareDebt(current map[string]DebtCounts, b *Baseline) []string {
 			}
 		}
 		check("ordered", cur.Ordered, pin.Ordered)
-		check("speculative", cur.Speculative, pin.Speculative)
 	}
 	return errs
 }

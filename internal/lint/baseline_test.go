@@ -74,13 +74,13 @@ func TestDebtCompareDirections(t *testing.T) {
 	b := &lint.Baseline{
 		Version: 1,
 		Debt: map[string]lint.DebtCounts{
-			"internal/a": {Ordered: 2, Speculative: 1},
+			"internal/a": {Ordered: 2},
 			"internal/b": {Ordered: 1},
 		},
 	}
 	current := map[string]lint.DebtCounts{
-		"internal/a": {Ordered: 3, Speculative: 1}, // grew
-		"internal/b": {},                           // shrank (paid off)
+		"internal/a": {Ordered: 3}, // grew
+		"internal/b": {},           // shrank (paid off)
 	}
 	errs := lint.CompareDebt(current, b)
 	if len(errs) != 2 {
@@ -93,7 +93,7 @@ func TestDebtCompareDirections(t *testing.T) {
 		t.Errorf("shrink message wrong: %s", errs[1])
 	}
 	if errs := lint.CompareDebt(map[string]lint.DebtCounts{
-		"internal/a": {Ordered: 2, Speculative: 1},
+		"internal/a": {Ordered: 2},
 		"internal/b": {Ordered: 1},
 	}, b); len(errs) != 0 {
 		t.Errorf("matching counts must not drift: %v", errs)

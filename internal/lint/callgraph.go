@@ -131,15 +131,13 @@ type fnode struct {
 	end  token.Pos
 	body *ast.BlockStmt
 
-	params      []types.Object // receiver first, then declared parameters
-	speculative bool           // carries (or is nested in) //lint:speculative
-	litCount    int            // literals numbered under this function
+	params   []types.Object // receiver first, then declared parameters
+	litCount int            // literals numbered under this function
 
 	calls          []*callSite
 	clockReads     []fact
 	globalWrites   []fact
 	capturedWrites []fact
-	circuitCalls   []fact // calls to mutating circuit.Circuit methods
 	mutLocal       uint64 // bit i: writes through params[i] in this body
 	mutAll         uint64 // closed over calls by the dataflow fixpoint
 }
@@ -307,15 +305,14 @@ func (g *graph) scanCompositeFlows(n *fnode, e ast.Expr) {
 func (g *graph) addDecl(p *Package, fd *ast.FuncDecl) *fnode {
 	obj, _ := p.Info.Defs[fd.Name].(*types.Func)
 	n := &fnode{
-		id:          len(g.nodes),
-		obj:         obj,
-		decl:        fd,
-		pkg:         p,
-		name:        funcDisplayName(p, obj),
-		pos:         fd.Pos(),
-		end:         fd.End(),
-		body:        fd.Body,
-		speculative: isSpeculative(fd),
+		id:   len(g.nodes),
+		obj:  obj,
+		decl: fd,
+		pkg:  p,
+		name: funcDisplayName(p, obj),
+		pos:  fd.Pos(),
+		end:  fd.End(),
+		body: fd.Body,
 	}
 	if obj != nil {
 		if sig, ok := obj.Type().(*types.Signature); ok {
@@ -347,10 +344,6 @@ func (g *graph) addLit(parent *fnode, lit *ast.FuncLit) *fnode {
 		pos:  lit.Pos(),
 		end:  lit.End(),
 		body: lit.Body,
-		// A literal inside a //lint:speculative function inherits the seam:
-		// the annotation's contract covers nested closures (the syntactic
-		// rule already checks them as one body).
-		speculative: parent.speculative,
 	}
 	if sig, ok := parent.pkg.Info.Types[lit].Type.(*types.Signature); ok {
 		for i := 0; i < sig.Params().Len(); i++ {
@@ -581,39 +574,9 @@ func (g *graph) addCall(n *fnode, call *ast.CallExpr, barriers []token.Pos, spaw
 			desc: site.ext.Pkg().Path() + "." + site.ext.Name()})
 	}
 
-	// Mutating circuit.Circuit method call (the nodemut mutator set).
-	if mut := g.circuitMutator(site); mut != "" {
-		n.circuitCalls = append(n.circuitCalls, fact{pos: call.Pos(), desc: "Circuit." + mut})
-	}
-
 	g.trackArgFlows(n, site, call)
 
 	n.calls = append(n.calls, site)
-}
-
-// circuitMutator reports the method name when the site statically calls one
-// of the mutating circuit.Circuit methods.
-func (g *graph) circuitMutator(site *callSite) string {
-	fn := site.ext
-	if fn == nil && len(site.callees) > 0 {
-		fn = site.callees[0].obj
-	}
-	if fn == nil || !circuitMutators[fn.Name()] {
-		return ""
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	named := namedOf(sig.Recv().Type())
-	if named == nil {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Name() == "Circuit" && obj.Pkg() != nil && obj.Pkg().Path() == g.l.ModPath+"/internal/circuit" {
-		return fn.Name()
-	}
-	return ""
 }
 
 // resolveStatic settles a call with a statically known *types.Func callee.
@@ -945,13 +908,11 @@ func (g *graph) classifyCallSites() {
 			// closure handed to them is independently verified as an entry
 			// point, so reachability does not tunnel through the pool
 			// machinery (whose own discipline the sharedmut rule and the
-			// -race tests cover). Queue.Push is deliberately NOT a boundary:
-			// calling it from a worker violates the coordinator-side
-			// contract and must surface through the purity rule.
+			// -race tests cover).
 			if path == parPath {
 				switch callee.Name() {
 				case "Run", "Map", "MapErr", "Workers", "SeedFor", "SetClock",
-					"Get", "Set", "Len", "GetOrCompute", "Drain", "NewCache", "NewQueue":
+					"Get", "Set", "Len", "GetOrCompute", "NewCache":
 					c.boundary = true
 				}
 			}

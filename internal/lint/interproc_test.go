@@ -68,25 +68,6 @@ func TestPurityCacheCompute(t *testing.T) {
 	}
 }
 
-// TestPuritySpeculativeTransitive: a //lint:speculative function whose
-// circuit mutation hides one call down — invisible to the syntactic nodemut
-// check — is flagged with the full call chain.
-func TestPuritySpeculativeTransitive(t *testing.T) {
-	diags := analyzeFixture(t, []string{"purity", "nodemut"}, "badpurity")
-	d := findRule(diags, "purity", "Circuit.SetFanin")
-	if d == nil {
-		t.Fatalf("speculative transitive mutation not flagged; got:\n%s", lint.FormatText(diags))
-	}
-	joined := strings.Join(d.Witness, "\n")
-	if !strings.Contains(joined, "badpurity.commit") {
-		t.Errorf("witness does not name the intermediate call:\n%s", joined)
-	}
-	// The syntactic rule must NOT have caught it (that is the point).
-	if f := findRule(diags, "nodemut", "Evaluate"); f != nil {
-		t.Errorf("expected the mutation to be invisible syntactically, got: %s", f.Msg)
-	}
-}
-
 // TestWallclockTransitive: clock taint propagates through helper chains and
 // function-typed variables; direct reads stay with the syntactic rule.
 func TestWallclockTransitive(t *testing.T) {

@@ -413,30 +413,6 @@ func (r *runner) cachekey() {
 // nodemut: circuit nodes are mutated only through the journal-touching
 // methods inside internal/circuit. A direct field write from outside skips
 // the edit journal, so incremental resynthesis would silently miss the node.
-//
-// The rule also guards the speculative-overlay seam of the sharded
-// resynthesis sweep: a function annotated //lint:speculative (in its doc
-// comment) runs concurrently against a shared circuit snapshot, so it must
-// treat the circuit as read-only — calling any mutating Circuit method from
-// its body (closures included) is a violation. Mutations belong to the
-// serial commit phase, which validates speculations against the edit
-// journal first.
-
-// circuitMutators are the circuit.Circuit methods that mutate the circuit
-// or its derived caches — everything a speculative evaluation must not call.
-// Freeze and RebuildFanouts are logically read-only but (re)build lazy
-// caches, which is a data race from concurrent workers, so they are listed:
-// the coordinator warms them serially before fan-out.
-var circuitMutators = map[string]bool{
-	"AddFaninFront": true, "AddGate": true, "AddInput": true,
-	"BeginEditScope": true, "BeginJournal": true,
-	"EndEditScope": true, "EndJournal": true,
-	"Freeze": true, "Kill": true, "MarkOutput": true,
-	"PreservePONames": true, "RebuildFanouts": true, "Rename": true,
-	"ReplaceUses": true, "SetConstant": true, "SetFanin": true,
-	"Simplify": true, "Strash": true, "SweepDead": true,
-	"TakeJournal": true, "Thaw": true,
-}
 
 func (r *runner) nodemut() {
 	for _, f := range r.p.Files {
@@ -451,60 +427,10 @@ func (r *runner) nodemut() {
 				}
 			case *ast.IncDecStmt:
 				r.checkNodeWrite(s.X)
-			case *ast.FuncDecl:
-				if isSpeculative(s) && s.Body != nil {
-					r.checkSpeculativeBody(s.Name.Name, s.Body)
-				}
 			}
 			return true
 		})
 	}
-}
-
-// isSpeculative reports whether the function's doc comment carries the
-// //lint:speculative annotation.
-func isSpeculative(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if strings.TrimSpace(strings.TrimPrefix(c.Text, "//")) == "lint:speculative" {
-			return true
-		}
-	}
-	return false
-}
-
-// checkSpeculativeBody flags every mutating Circuit method call inside an
-// annotated function, nested closures included.
-func (r *runner) checkSpeculativeBody(name string, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := r.callee(call)
-		if fn == nil || !circuitMutators[fn.Name()] {
-			return true
-		}
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return true
-		}
-		recv := namedOf(sig.Recv().Type())
-		if recv == nil {
-			return true
-		}
-		obj := recv.Obj()
-		if obj.Name() != "Circuit" || obj.Pkg() == nil ||
-			obj.Pkg().Path() != r.l.ModPath+"/internal/circuit" {
-			return true
-		}
-		r.report(call.Pos(), "nodemut",
-			"Circuit.%s called from speculative function %s: //lint:speculative code runs concurrently against a shared snapshot and must not mutate the circuit; mutate in the serial commit phase",
-			fn.Name(), name)
-		return true
-	})
 }
 
 func (r *runner) checkNodeWrite(e ast.Expr) {

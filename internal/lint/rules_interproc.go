@@ -10,11 +10,9 @@ import (
 // The three interprocedural rules, run on the whole-module call graph:
 //
 //	purity    - every function handed to a par fan-out primitive (Run, Map,
-//	            MapErr, Queue.Drain), a par.Cache.GetOrCompute compute
-//	            argument, or annotated //lint:speculative must be
-//	            transitively free of unguarded writes to shared state,
-//	            wall-clock/global-RNG reads (in deterministic packages), and
-//	            — for speculative seams — mutating circuit.Circuit calls.
+//	            MapErr) or as a par.Cache.GetOrCompute compute argument must
+//	            be transitively free of unguarded writes to shared state and
+//	            of wall-clock/global-RNG reads (in deterministic packages).
 //	wallclock - (transitive extension of the syntactic rule) taint from
 //	            time.Now / the global math/rand surface propagates through
 //	            module calls into deterministic packages; calls into the
@@ -29,7 +27,7 @@ import (
 // entrySeam is one function whose whole call tree the purity rule verifies.
 type entrySeam struct {
 	node *fnode
-	seam string    // label: "par.Run task", "//lint:speculative function", ...
+	seam string    // label: "par.Run task", "par.Map task", ...
 	pos  token.Pos // the seam site: where the function is handed over/declared
 	pkg  *Package  // package owning the seam site (diagnostic placement)
 }
@@ -38,7 +36,6 @@ var seamLabels = map[string]string{
 	"Run":          "par.Run task",
 	"Map":          "par.Map task",
 	"MapErr":       "par.MapErr task",
-	"Drain":        "par.Queue.Drain task",
 	"GetOrCompute": "par.Cache.GetOrCompute compute",
 }
 
@@ -102,8 +99,7 @@ func (ir *interprocRunner) report(pos token.Pos, rule, id string, witness []stri
 // purity
 
 // collectEntries finds every seam: functions handed to par fan-out/cache
-// primitives from requested packages, plus //lint:speculative declarations.
-// par's own internal wrapper closures are excluded — the pool machinery is
+// primitives from requested packages. par's own internal wrapper closures are excluded — the pool machinery is
 // the seam, and it is covered at the outer call sites.
 func (ir *interprocRunner) collectEntries() []entrySeam {
 	parPath := ir.l.ModPath + "/internal/par"
@@ -148,11 +144,6 @@ func (ir *interprocRunner) collectEntries() []entrySeam {
 			}
 		}
 	}
-	for _, n := range ir.g.nodes {
-		if n.speculative && n.decl != nil && ir.req[n.pkg] && n.pkg.Path != parPath {
-			add(entrySeam{node: n, seam: "//lint:speculative function", pos: n.pos, pkg: n.pkg})
-		}
-	}
 	// Deterministic report order: by seam position, then entry name.
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].pos != entries[j].pos {
@@ -165,11 +156,7 @@ func (ir *interprocRunner) collectEntries() []entrySeam {
 
 func (ir *interprocRunner) purity() {
 	for _, e := range ir.collectEntries() {
-		if e.seam == "//lint:speculative function" {
-			ir.puritySpeculative(e)
-		} else {
-			ir.purityTask(e)
-		}
+		ir.purityTask(e)
 	}
 }
 
@@ -194,11 +181,11 @@ func sharedForEntry(e entrySeam, u *fnode, kind rootKind, obj interface{ Pos() t
 }
 
 // purityTask checks one pool/cache entry: its whole reachable call tree
-// (stopping at par boundaries, observability calls and speculative seams)
+// (stopping at par boundaries and observability calls)
 // must not write shared state, read the clock (deterministic packages), or
 // perform unverifiable dynamic calls on shared values.
 func (ir *interprocRunner) purityTask(e entrySeam) {
-	order, parents := reachFrom(e.node, reachOpts{})
+	order, parents := reachFrom(e.node)
 	det := ir.cfg.deterministic(e.pkg.Path, ir.l.ModPath)
 	seenDesc := map[string]bool{}
 
@@ -260,49 +247,6 @@ func (ir *interprocRunner) purityTask(e entrySeam) {
 	}
 }
 
-// puritySpeculative checks one //lint:speculative seam: the function runs
-// concurrently against a shared circuit snapshot, so its whole call tree
-// must not mutate the circuit, write globals unguarded, or (in
-// deterministic packages) read the clock. Parameter-rooted mutation is
-// allowed — speculative evaluators buffer results through their own
-// arguments, and the serial commit phase owns them.
-func (ir *interprocRunner) puritySpeculative(e entrySeam) {
-	order, parents := reachFrom(e.node, reachOpts{intoSpeculative: true})
-	det := ir.cfg.deterministic(e.pkg.Path, ir.l.ModPath)
-	seenDesc := map[string]bool{}
-
-	emit := func(u *fnode, pos token.Pos, desc string) {
-		if seenDesc[desc] {
-			return
-		}
-		seenDesc[desc] = true
-		w := ir.witness(e, u, parents, pos, desc)
-		id := fmt.Sprintf("purity/%s/%08x", e.node.name, fnv32a(desc))
-		ir.report(e.pos, "purity", id, w,
-			"%s %s is impure: %s — speculative code runs concurrently against a shared snapshot (see witness)",
-			e.seam, e.node.name, desc)
-	}
-
-	for _, u := range order {
-		if det {
-			for _, f := range u.clockReads {
-				emit(u, f.pos, f.desc+" (wall-clock/global-RNG read)")
-			}
-		}
-		for _, f := range u.globalWrites {
-			emit(u, f.pos, f.desc)
-		}
-		if u != e.node && !(u.lit != nil && u.pos >= e.node.pos && u.end <= e.node.end) {
-			// Circuit mutations lexically inside the annotated body are the
-			// syntactic nodemut rule's findings; the interprocedural layer
-			// adds the ones hidden behind calls.
-			for _, f := range u.circuitCalls {
-				emit(u, f.pos, f.desc+" (mutating circuit method)")
-			}
-		}
-	}
-}
-
 // witness renders the call-path: seam -> call chain -> sink.
 func (ir *interprocRunner) witness(e entrySeam, sink *fnode, parents map[*fnode]parentEdge, pos token.Pos, desc string) []string {
 	w := []string{fmt.Sprintf("seam %s: %s is %s", ir.posf(e.pos), e.node.name, e.seam)}
@@ -323,7 +267,7 @@ func (ir *interprocRunner) witness(e entrySeam, sink *fnode, parents map[*fnode]
 func (ir *interprocRunner) wallclockTransitive() {
 	reach, hops := clockReachability(ir.g)
 	for _, n := range ir.g.nodes {
-		if n.decl == nil || !ir.req[n.pkg] || n.speculative {
+		if n.decl == nil || !ir.req[n.pkg] {
 			continue
 		}
 		if !ir.cfg.deterministic(n.pkg.Path, ir.l.ModPath) {

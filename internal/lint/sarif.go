@@ -97,8 +97,8 @@ var ruleDescriptions = map[string]string{
 	"maporder":   "no order-dependent accumulation over map iteration without sorting or a //lint:ordered justification",
 	"metricname": "metric registrations use literal package.snake_case names",
 	"cachekey":   "no string-typed par.Cache keys (protects zero-alloc sharding)",
-	"nodemut":    "circuit nodes are mutated only via journal-touching Circuit methods; //lint:speculative bodies never mutate",
-	"purity":     "functions handed to par fan-out/cache seams or marked //lint:speculative are transitively free of shared-state writes",
+	"nodemut":    "circuit nodes are mutated only via journal-touching Circuit methods",
+	"purity":     "functions handed to par fan-out/cache seams are transitively free of shared-state writes",
 	"sharedmut":  "goroutine-captured variables are not written without a sync/channel/atomic barrier",
 }
 

@@ -1,15 +1,10 @@
-// Package badpurity injects purity violations at the three seam kinds: a
-// par.Run task writing captured state, a par.Cache.GetOrCompute compute
-// closure writing a global, and a //lint:speculative function whose circuit
-// mutation hides one call down (where the syntactic nodemut check cannot
-// see it). Lint fixture; the go tool never builds testdata, only sftlint's
-// own loader does.
+// Package badpurity injects purity violations at the two seam kinds: a
+// par.Run task writing captured state and a par.Cache.GetOrCompute compute
+// closure writing a global. Lint fixture; the go tool never builds
+// testdata, only sftlint's own loader does.
 package badpurity
 
-import (
-	"compsynth/internal/circuit"
-	"compsynth/internal/par"
-)
+import "compsynth/internal/par"
 
 // Sum fans out but accumulates into a captured variable with no barrier —
 // the canonical impure task.
@@ -44,19 +39,4 @@ func Memo(c *par.Cache[int, int], k int) int {
 		hits++
 		return k * 2
 	})
-}
-
-// Evaluate is a speculative seam whose mutation is behind a call — clean to
-// the syntactic nodemut rule, impure to the whole-program one.
-//
-//lint:speculative
-func Evaluate(c *circuit.Circuit, id, src int) int {
-	commit(c, id, src)
-	return id
-}
-
-// commit is unannotated, so calling SetFanin here is legitimate — from the
-// serial phase. Reaching it from Evaluate is not.
-func commit(c *circuit.Circuit, id, src int) {
-	c.SetFanin(id, 0, src)
 }

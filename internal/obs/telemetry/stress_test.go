@@ -13,7 +13,7 @@ import (
 )
 
 // TestStressEndpointsDuringRun hammers /metrics and /progress from several
-// goroutines while a live parallel resynthesis run mutates the span tree,
+// goroutines while a live resynthesis run mutates the span tree,
 // the progress gauges, and both metric registries underneath them. It proves
 // (under -race, which CI runs for every test) that the live telemetry reads
 // are properly synchronized against the pipeline's writes — the endpoints
@@ -48,13 +48,12 @@ func TestStressEndpointsDuringRun(t *testing.T) {
 		}()
 	}
 
-	// Drive real work under the readers: parallel resynthesis with spans,
-	// progress events, par queue telemetry and cache traffic all live.
+	// Drive real work under the readers: resynthesis with spans, progress
+	// events and cache traffic all live.
 	for _, b := range gen.SmallSuite() {
 		opt := resynth.DefaultOptions()
 		opt.Verify = false
 		opt.MaxPasses = 2
-		opt.Workers = 4
 		opt.Tracer = run.Tracer
 		if _, err := resynth.Optimize(b.Build(), opt); err != nil {
 			t.Fatal(err)

@@ -5,16 +5,13 @@
 // primary outputs toward the inputs, replacing subcircuits that implement
 // comparison functions by comparison units, until a fixpoint.
 //
-// Parallelism: the default sweep is serial. It evaluates each marked
-// candidate once, in topological order, right before deciding on it, so
-// every truth table is extracted from the circuit as it stands at that
-// moment. Options.Workers feeds only the region-sharded sweep
-// (Options.Shard, shard.go), whose result is bit-identical to the serial
-// one at every worker count. The identification caches are keyed purely by
-// the candidate's function and persist across passes. Sampling-mode
-// identification seeds its RNG per truth table (derived from Options.Seed),
-// never from a shared stream, so it is independent of visit order and
-// worker count.
+// The sweep is serial, as in the paper. It evaluates each marked candidate
+// once, in topological order, right before deciding on it, so every truth
+// table is extracted from the circuit as it stands at that moment. The
+// identification caches are keyed purely by the candidate's function and
+// persist across passes. Sampling-mode identification seeds its RNG per
+// truth table (derived from Options.Seed), never from a shared stream, so it
+// is independent of visit order.
 //
 // Incremental pass state: each pass needs K-feasible cuts, path labels,
 // levels and (in SDC mode) exhaustive-simulation values for every node. A
@@ -36,7 +33,6 @@ import (
 
 	"compsynth/internal/circuit"
 	"compsynth/internal/compare"
-	"compsynth/internal/digest"
 	"compsynth/internal/ledger"
 	"compsynth/internal/logic"
 	"compsynth/internal/obs"
@@ -91,22 +87,9 @@ type Options struct {
 	Check         bool      // validate IR invariants after every pass (circuit.Check)
 	Merge         bool      // merge same-type chain gates (Figure 4)
 
-	// Workers bounds the goroutines of the region-sharded sweep (Shard);
-	// the default serial sweep ignores it. 0 selects
-	// runtime.GOMAXPROCS(0). The result is bit-identical either way.
+	// Workers is ignored: the sweep is serial. The field is kept so that
+	// existing callers still compile.
 	Workers int
-
-	// Shard switches each pass to the region-sharded sweep (shard.go):
-	// candidate gates are partitioned into disjoint footprint regions,
-	// workers speculatively evaluate whole regions, and a serial commit
-	// phase replays the decisions in the canonical (level, id) order,
-	// validating each speculation against the edit journal and re-queueing
-	// conflict losers. The optimized circuit, the decision-trace stream,
-	// the run report counters, and the certificate evidence are
-	// bit-identical to the serial sweep at every worker count
-	// (TestShardedMatchesSerial); Shard is a machine knob like Workers.
-	// Off (the default) keeps the serial sweep.
-	Shard bool
 
 	// UseSampling switches identification to the paper's experimental
 	// method: up to SamplingPerms random permutations, onset and offset.
@@ -144,11 +127,10 @@ type Options struct {
 	Tracer *obs.Tracer
 
 	// Dtrace streams one decision record per gate and per candidate the
-	// serial sweep considers (see internal/obs/dtrace). Records are emitted
-	// in the serial sweep's order — the sharded sweep replays them in that
-	// order — and carry no timing or cache provenance, so the stream is
-	// byte-identical for every Workers value. The nil tracer (the default)
-	// no-ops without allocating.
+	// sweep considers (see internal/obs/dtrace). Records are emitted in
+	// the sweep's order and carry no timing or cache provenance, so the
+	// stream is byte-identical for every run of the same input and options.
+	// The nil tracer (the default) no-ops without allocating.
 	Dtrace *dtrace.Tracer
 
 	// forceFull disables the incremental between-pass refresh, rebuilding
@@ -234,13 +216,11 @@ func Optimize(c *circuit.Circuit, opt Options) (*Result, error) {
 	o := &optimizer{
 		opt:        opt,
 		dt:         opt.Dtrace,
-		workers:    par.Workers(opt.Workers),
 		cache:      par.NewCache[logic.Key, cachedSpec](),
 		multiCache: par.NewCache[logic.Key, cachedMulti](),
 		dcCache:    par.NewCache[dcKey, cachedSpec](),
 		allCache:   par.NewCache[logic.Key, []compare.Spec](),
 	}
-	sp.SetInt("workers", int64(o.workers))
 	// The journal records which nodes each pass's rewrites and the
 	// follow-up Simplify touch, so the next pass refreshes only that cone.
 	// Node IDs therefore must stay stable across passes: compaction happens
@@ -326,15 +306,19 @@ type dcKey struct {
 	f, care logic.Key
 }
 
+// careKey is the exact, ordered list of host nodes a care set is projected
+// onto. The order matters: it fixes the care table's variable order.
+type careKey struct {
+	n   int
+	ids [logic.MaxVars]int32
+}
+
 // optimizer carries the per-run state. The identification caches persist
 // across passes (they are keyed by the candidate's function, which is
-// circuit-independent). All caches are sharded and safe for the sharded
-// sweep's workers; every cached value is a pure function of its key, so
-// racing fills store equal values.
+// circuit-independent); every cached value is a pure function of its key.
 type optimizer struct {
 	opt        Options
 	dt         *dtrace.Tracer // decision-trace sink; nil = off
-	workers    int
 	cache      *par.Cache[logic.Key, cachedSpec]
 	multiCache *par.Cache[logic.Key, cachedMulti]
 	dcCache    *par.Cache[dcKey, cachedSpec]
@@ -357,7 +341,7 @@ type optimizer struct {
 	// is off or out of range).
 	valbits   [][]uint64
 	nPI       int
-	careCache *par.Cache[digest.D, logic.TT]
+	careCache *par.Cache[careKey, logic.TT]
 
 	scratch []int // reused worklist for the dirty-cone closure
 
@@ -369,9 +353,8 @@ type optimizer struct {
 // rngFor derives the RNG for one sampling-style identification call.
 // Seeding from (Options.Seed, truth-table key) makes the draw a pure
 // function of the function being identified — independent of gate visit
-// order, of the interleaving of other identifications, and of which worker
-// performs it — which is what keeps sampling mode deterministic under the
-// sharded sweep (and fixes the historical shared-RNG coupling).
+// order and of the interleaving of other identifications (a shared RNG
+// stream would couple every draw to the sweep's history).
 func (o *optimizer) rngFor(k logic.Key) *rand.Rand {
 	return rand.New(rand.NewSource(k.Seed(o.opt.Seed)))
 }
@@ -387,9 +370,6 @@ func (o *optimizer) pass(c *circuit.Circuit) int {
 	}
 	csp.End()
 	topo := o.topo
-	if o.opt.Shard {
-		return o.passSharded(c)
-	}
 	marked := make([]bool, len(c.Nodes))
 	mark := func(id int) {
 		for id >= len(marked) {
@@ -416,7 +396,7 @@ func (o *optimizer) pass(c *circuit.Circuit) int {
 			o.traceGate(c, g, dtrace.SkippedNonGate, nil)
 			continue
 		}
-		best := o.selectReplacement(c, g)
+		best := o.evalGate(c, g)
 		// Cumulative candidate progress for the flight recorder (the sink
 		// throttles; the off path is one atomic load).
 		obs.EmitProgress("resynth.candidates", mCandidates.Value(), 0)
@@ -694,7 +674,7 @@ func (u *unit) realization() compare.Realization {
 	return u.single
 }
 
-// selectReplacement evaluates all candidates for gate output g and returns
+// evalGate evaluates all candidates for gate output g and returns
 // the chosen replacement, or nil to keep the existing logic.
 //
 // When decision tracing is on, one record per enumerated candidate is
@@ -703,24 +683,10 @@ func (u *unit) realization() compare.Realization {
 // the winner itself resolves to Accepted or to the enumerated rejection that
 // blocked it (ObjectiveWorse, or PathBound when only the saturated path
 // labels vetoed an otherwise-improving replacement).
-func (o *optimizer) selectReplacement(c *circuit.Circuit, g int) *candidate {
-	return o.evalGate(c, g, nil)
-}
-
-// evalGate is selectReplacement's engine, shared with the sharded sweep's
-// speculation phase. With ev == nil it behaves exactly as the serial sweep
-// always has: counters increment inline and trace records are emitted at the
-// end of the call. With ev != nil the call is speculative — it may run on a
-// worker goroutine concurrently with other evaluations — so every global
-// side effect is buffered into ev instead (candidate count, histogram
-// observations, resolved trace records) for the serial commit phase to
-// replay in canonical order; the circuit is only read, never written.
 //
 // The best realized candidate so far is held in locals, unboxed; only an
 // accepted one becomes a *candidate.
-//
-//lint:speculative
-func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate {
+func (o *optimizer) evalGate(c *circuit.Circuit, g int) *candidate {
 	subs := o.db.EnumerateFromCuts(c, g)
 	np, npOK := o.np, o.npOK
 	oldPathsOnG := np[g]
@@ -751,13 +717,8 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 		}
 	}
 	for _, sub := range subs {
-		if ev == nil {
-			mCandidates.Inc()
-			hCandInputs.Observe(float64(len(sub.Inputs)))
-		} else {
-			ev.nCand++
-			ev.widths = append(ev.widths, float64(len(sub.Inputs)))
-		}
+		mCandidates.Inc()
+		hCandInputs.Observe(float64(len(sub.Inputs)))
 		// Extraction drops inputs the function does not depend on: they
 		// contribute no logic and their paths disappear entirely.
 		stt, kept := sub.Extract(c).Shrink()
@@ -873,12 +834,8 @@ func (o *optimizer) evalGate(c *circuit.Circuit, g int, ev *gateEval) *candidate
 				recs[bestRec].Outcome = rejection
 			}
 		}
-		if ev != nil {
-			ev.recs = recs // replayed by the commit phase, in commit order
-		} else {
-			for i := range recs {
-				o.dt.Emit(recs[i])
-			}
+		for i := range recs {
+			o.dt.Emit(recs[i])
 		}
 	}
 	if !accepted {
@@ -921,7 +878,7 @@ func (o *optimizer) rebuildSDC(c *circuit.Circuit) {
 		}
 		o.valbits[id] = o.evalRow(c, id, words, &buf)
 	}
-	o.careCache = par.NewCache[digest.D, logic.TT]()
+	o.careCache = par.NewCache[careKey, logic.TT]()
 }
 
 // refreshSDC re-simulates only the dirty cone; clean rows are values of
@@ -941,7 +898,7 @@ func (o *optimizer) refreshSDC(c *circuit.Circuit, dirty []bool) {
 		}
 		o.valbits[id] = o.evalRow(c, id, words, &buf)
 	}
-	o.careCache = par.NewCache[digest.D, logic.TT]()
+	o.careCache = par.NewCache[careKey, logic.TT]()
 }
 
 // inputRow is primary input j's value over all patterns: bit p = bit j of p.
@@ -978,9 +935,13 @@ func (o *optimizer) evalRow(c *circuit.Circuit, id, words int, buf *[]uint64) []
 // nodes: bit m of the result is 1 iff some PI pattern drives the inputs to
 // the combination m (MSB-first order, matching Extract). The projection is
 // word-hoisted: each input's row is fetched once and 64 patterns are read
-// per word.
+// per word. inputs holds at most logic.MaxVars nodes: it is the support of a
+// Shrinked table.
 func (o *optimizer) careSet(inputs []int) logic.TT {
-	key := digest.New().Ints(inputs)
+	key := careKey{n: len(inputs)}
+	for j, id := range inputs {
+		key.ids[j] = int32(id)
+	}
 	if tt, ok := o.careCache.Get(key); ok {
 		return tt
 	}

@@ -359,3 +359,36 @@ func TestSDCSkipsLargeCircuits(t *testing.T) {
 		t.Fatal("fallback path broke equivalence")
 	}
 }
+
+// TestCareSetFollowsInputOrder pins that the care-set memo keys on the
+// ordered input list: asking for the same nodes in another order, on a warm
+// cache, must return the care table with its variables permuted to match.
+func TestCareSetFollowsInputOrder(t *testing.T) {
+	c := circuit.New("care")
+	x := c.AddInput("x")
+	y := c.AddInput("y")
+	z := c.AddInput("z")
+	a := c.AddGate(circuit.And, "a", x, y)
+	b := c.AddGate(circuit.Or, "b", x, z)
+	d := c.AddGate(circuit.Not, "d", x)
+	for _, id := range []int{a, b, d} {
+		c.MarkOutput(id)
+	}
+	opt := DefaultOptions()
+	opt.UseSDC = true
+	o := &optimizer{opt: opt}
+	o.rebuildFull(c)
+
+	// x=0 gives (a,b,d) = (0,z,1); x=1 gives (y,1,0).
+	abd := o.careSet([]int{a, b, d})
+	if want := logic.FromMinterms(3, []int{1, 2, 3, 6}); !abd.Equal(want) {
+		t.Fatalf("care(a,b,d) = %v, want %v", abd, want)
+	}
+	dab := o.careSet([]int{d, a, b})
+	if want := logic.FromMinterms(3, []int{1, 3, 4, 5}); !dab.Equal(want) {
+		t.Fatalf("care(d,a,b) = %v, want %v", dab, want)
+	}
+	if want := abd.Permute([]int{2, 0, 1}); !dab.Equal(want) {
+		t.Fatalf("care(d,a,b) = %v, want care(a,b,d) permuted = %v", dab, want)
+	}
+}

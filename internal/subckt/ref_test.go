@@ -274,7 +274,8 @@ func TestCandidateAllocs(t *testing.T) {
 }
 
 // TestCandidatesConcurrent: the pooled scratch keeps concurrent callers
-// apart (the sharded sweep evaluates candidates on several goroutines).
+// apart (table rows that run in parallel each resynthesize their own
+// circuit on their own goroutine).
 // Four goroutines walk, extract and cost every cut of rs9234 at K=6 and
 // must each reproduce the serial results.
 func TestCandidatesConcurrent(t *testing.T) {

@@ -163,8 +163,8 @@ func varTablesFor(n int) []logic.TT {
 // evaluation values (Inputs first, then Gates, by position), per-gate
 // removability, and the fanin word buffer. The sets involved are tiny —
 // |Gates| + |Inputs| is bounded by the cone of a K-input cut — so
-// membership is a linear scan. Pooled so concurrent callers (the sharded
-// sweep's workers) each grab their own.
+// membership is a linear scan. Pooled so concurrent callers (table rows
+// that run in parallel) each grab their own.
 type scratch struct {
 	gates   []int
 	reached []bool

@@ -24,7 +24,7 @@ echo "== sftlint =="
 # rules (wall-clock and global-RNG bans in deterministic packages,
 # map-iteration-order hazards, obs metric naming, par.Cache key types,
 # circuit-node mutation discipline) plus the interprocedural rules on the
-# whole-module call graph (purity of par task/cache/speculative seams,
+# whole-module call graph (purity of par task and cache seams,
 # transitive wall-clock taint, unsynchronized goroutine-captured writes).
 # Two directions: the tree must lint clean beyond the committed
 # lint_baseline.json (new findings fail; stale baseline entries fail), and
@@ -42,8 +42,8 @@ go build -o "$sftlint" ./cmd/sftlint
 # changes when the findings do. -rel keeps its paths relative to the
 # repository root, so the file does not depend on where it is checked out.
 "$sftlint" -rel "$PWD" -baseline lint_baseline.json -sarif sftlint.sarif ./...
-# Suppression-debt gate: the //lint:ordered///lint:speculative comment
-# counts and the baselined-finding tally must match the counts pinned in
+# Suppression-debt gate: the //lint:ordered comment counts and the
+# baselined-finding tally must match the counts pinned in
 # lint_baseline.json — growing debt without a reviewed baseline update in
 # the same commit fails here.
 "$sftlint" -debt -baseline lint_baseline.json >/dev/null
@@ -83,10 +83,6 @@ go test ./internal/bench -fuzz FuzzParseBench -fuzztime 5s -run '^$' >/dev/null
 # run through a mutation script with an incremental Freeze + deep audit
 # against a from-scratch rebuild after each step.
 go test ./internal/bench -fuzz FuzzCSRFreeze -fuzztime 5s -run '^$' >/dev/null
-# And for the sharded-resynthesis planner: the region partition must be a
-# disjoint cover with contained footprints on every accepted netlist, and a
-# sharded pass must match the serial sweep byte for byte.
-go test ./internal/bench -fuzz FuzzRegionPartition -fuzztime 5s -run '^$' >/dev/null
 # And for PODEM: on every accepted netlist (seeded from FuzzParseBench's
 # corpus) the event-driven engine must make exactly the decisions of the
 # whole-cone reference engine — same status, test and backtrack count on
@@ -117,7 +113,6 @@ go run ./cmd/obsdiff -tol 0 -tol-time 100 \
 go run ./cmd/obsdiff BENCH_2026-08-06.json BENCH_2026-08-06.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-06_lean.json BENCH_2026-08-06_lean.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-08-08_csr.json BENCH_2026-08-08_csr.json >/dev/null
-go run ./cmd/obsdiff BENCH_2026-08-08_sharded.json BENCH_2026-08-08_sharded.json >/dev/null
 go run ./cmd/obsdiff BENCH_2026-10-17_atpg.json BENCH_2026-10-17_atpg.json >/dev/null
 
 echo "== bench gate =="
@@ -156,19 +151,6 @@ scripts/bench.sh 'CSR(Full)?Rebuild|PathCountProcedure1|FaultSimulation$' 1 "$cs
 go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS_CSR:-4.0}" -tol-alloc 0.01 \
     BENCH_2026-08-08_csr.json "$csrgate"
 
-echo "== sharded bench gate =="
-# The region-sharded sweep's allocation profile (speculation buffers,
-# footprint scratch, queue rounds) is pinned the same way: re-measure
-# BenchmarkResynthSharded and hold allocs/op to 1% of the committed
-# BENCH_2026-08-08_sharded.json baseline. On this single-CPU host the
-# sharded sweep cannot win wall-clock — the gate is that its bookkeeping
-# stays cheap, with ns/op once more only an order-of-magnitude backstop.
-shardgate="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate"' EXIT
-scripts/bench.sh 'ResynthSharded' 1 "$shardgate" 20x >/dev/null
-go run ./cmd/obsdiff -tol-bench "${BENCH_TOL_NS:-1.0}" -tol-alloc 0.01 \
-    BENCH_2026-08-08_sharded.json "$shardgate"
-
 echo "== atpg bench gate =="
 # PODEM is nearly all of redundancy removal's time. BenchmarkPODEM runs the
 # hard faults of rs13207 at the production backtrack limit;
@@ -181,7 +163,7 @@ echo "== atpg bench gate =="
 # minutes; a 200% tolerance still catches a return to the whole-cone
 # engine, which was about ten times slower.
 atpggate="$(mktemp)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate" "$atpggate"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$atpggate"' EXIT
 scripts/bench.sh '^BenchmarkPODEM$' 1 "$atpggate" 1x >/dev/null
 go run ./cmd/obsdiff -tol-bench 2.0 -tol-alloc 0.01 \
     BENCH_2026-10-17_atpg.json "$atpggate"
@@ -195,7 +177,7 @@ echo "== sftverify gate =="
 # with exit 1, distinguished from a usage/IO failure (2). Built binaries,
 # not "go run", for the same exit-code reason as the sftlint gate.
 provdir="$(mktemp -d)"
-trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$shardgate" "$atpggate"; rm -rf "$provdir"' EXIT
+trap 'rm -f "$sftlint" "$fresh" "$benchgate" "$csrgate" "$atpggate"; rm -rf "$provdir"' EXIT
 go build -o "$provdir/sft" ./cmd/sft
 go build -o "$provdir/sftverify" ./cmd/sftverify
 "$provdir/sft" -in circuits/c17.bench -out "$provdir/c17_out.bench" \
@@ -241,31 +223,6 @@ cmp "$provdir/dt2.records" "$provdir/dt4.records"
 "$provdir/sftexplain" reasons -pass 1 "$provdir/dt2.ndjson" >/dev/null
 "$provdir/sftexplain" funnel -pass 1 "$provdir/dt2.ndjson" >/dev/null
 "$provdir/sftexplain" diff "$provdir/dt2.ndjson" "$provdir/dt4.ndjson" >/dev/null
-
-echo "== sharded determinism gate =="
-# The region-sharded sweep (-shard) is a machine knob like -workers: the
-# optimized netlist, the run certificate (a pure function of input +
-# semantic options; these runs carry no -events), and the canonical
-# decision-record stream must be byte-identical to the serial sweep at
-# every worker count. A scheduling leak anywhere in the
-# speculate/validate/commit pipeline fails one of these cmps.
-for cir in c17 adder4; do
-    "$provdir/sft" -in "circuits/$cir.bench" -out "$provdir/${cir}_serial.bench" \
-        -cert "$provdir/${cir}_serial.cert.json" -heartbeat 0 -workers 1 >/dev/null
-    for w in 1 2 4; do
-        "$provdir/sft" -in "circuits/$cir.bench" -shard -workers "$w" \
-            -out "$provdir/${cir}_shard_w$w.bench" \
-            -cert "$provdir/${cir}_shard_w$w.cert.json" -heartbeat 0 >/dev/null
-        cmp "$provdir/${cir}_serial.bench" "$provdir/${cir}_shard_w$w.bench"
-        cmp "$provdir/${cir}_serial.cert.json" "$provdir/${cir}_shard_w$w.cert.json"
-    done
-done
-# Decision traces too: a sharded -dtrace=full run must export exactly the
-# record stream the serial runs in the sftexplain gate produced.
-"$provdir/sft" -in circuits/c17.bench -events "$provdir/dts.ndjson" \
-    -dtrace=full -shard -heartbeat 0 -workers 4 >/dev/null
-"$provdir/sftexplain" export "$provdir/dts.ndjson" > "$provdir/dts.records"
-cmp "$provdir/dt2.records" "$provdir/dts.records"
 
 echo "== staleness =="
 # The committed experiment outputs must match what the tree regenerates.
